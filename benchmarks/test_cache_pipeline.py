@@ -13,7 +13,7 @@ Key derivation is reported alongside: :class:`GenomeKeyer` hashes the
 canonical-JSON context prefix once and must stay bit-identical to
 :func:`evaluation_key` while skipping the per-genome recanonicalise.
 
-Measured rows land in ``results/cache_pipeline.txt``.
+Measured rows land in ``.benchmarks/results/cache_pipeline.txt``.
 """
 
 import hashlib

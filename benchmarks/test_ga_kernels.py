@@ -5,7 +5,7 @@ Non-dominated sorting plus crowding on a GA-sized population
 must run at least 3x faster through the numpy kernels than through the
 pure-Python reference, while returning bit-identical ranks, orders and
 crowding values.  The measured rows are appended to
-``results/dse_runtime.txt`` next to the evaluation-core speedups.
+``.benchmarks/results/dse_runtime.txt`` next to the evaluation-core speedups.
 """
 
 import random

@@ -36,7 +36,7 @@ for precision in ("INT8", "BF16"):
         print(f"parity OK: {precision} x {backend} ({len(genomes)} genomes)")
 PY
 
-echo "== DSE runtime bench (records benchmarks/results/dse_runtime.txt) =="
+echo "== DSE runtime bench (records .benchmarks/results/dse_runtime.txt) =="
 python -m pytest benchmarks/test_dse_runtime.py -q
 
 echo "== GA kernel bench (>=3x gate, appends to dse_runtime.txt) =="

@@ -26,9 +26,9 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: Candidate rows per broadcasting block in :func:`dominated_flags`.
-#: Bounds the ``(n, chunk, m)`` comparison intermediates to a few tens
-#: of MB no matter how large the front grows.
+#: Candidate rows per block in :func:`dominated_flags`.  Bounds each
+#: ``(n, chunk)`` bool comparison intermediate to ``n`` KB, so memory
+#: grows linearly, not quadratically, with the front.
 _DOMINANCE_CHUNK = 1024
 
 
@@ -44,21 +44,42 @@ def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
     return not_worse and strictly_better
 
 
-def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
-    """Full ``(n, n)`` boolean matrix with ``D[i, j] = row i dominates row j``.
+def _dominance(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``(len(left), len(right))`` bool: ``left[i]`` dominates ``right[j]``.
 
-    One O(M·N²) broadcast instead of N² Python-level comparisons; this
-    is the array kernel the GA's non-dominated sort
-    (:mod:`repro.dse.kernels`) and :func:`pareto_mask` are built on.
-    The diagonal is always False (nothing dominates itself — equal rows
-    have no strictly-better component).
+    Loops over the M objective columns and folds ``(n, chunk)``
+    comparisons, instead of reducing an ``(n, chunk, m)`` broadcast over
+    its short trailing axis (numpy's slowest reduction shape).  NaN
+    compares False, so a row holding one neither dominates nor is
+    dominated; with no columns nothing dominates anything.
     """
+    not_worse = np.ones((len(left), len(right)), dtype=bool)
+    better = np.zeros_like(not_worse)
+    for k in range(left.shape[1]):
+        column, other = left[:, k, None], right[None, :, k]
+        not_worse &= column <= other
+        better |= column < other
+    return not_worse & better
+
+
+def _as_points(objectives: np.ndarray) -> np.ndarray:
     points = np.asarray(objectives, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"expected a 2-D objective array, got shape {points.shape}")
-    left = points[:, None, :]
-    right = points[None, :, :]
-    return (left <= right).all(axis=2) & (left < right).any(axis=2)
+    return points
+
+
+def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
+    """Full ``(n, n)`` boolean matrix with ``D[i, j] = row i dominates row j``.
+
+    O(M·N²) array work in M column passes instead of N² Python-level
+    comparisons; this is the array kernel the GA's non-dominated sort
+    (:mod:`repro.dse.kernels`) is built on.  The diagonal is always
+    False (nothing dominates itself — equal rows have no strictly-better
+    component).
+    """
+    points = _as_points(objectives)
+    return _dominance(points, points)
 
 
 def dominated_flags(objectives: np.ndarray) -> np.ndarray:
@@ -66,19 +87,14 @@ def dominated_flags(objectives: np.ndarray) -> np.ndarray:
 
     Evaluates the dominance matrix in column blocks of
     :data:`_DOMINANCE_CHUNK` candidates, so memory stays bounded for
-    large merged fronts while small inputs still run as one broadcast.
+    large merged fronts while small inputs still run as one block.
     """
-    points = np.asarray(objectives, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"expected a 2-D objective array, got shape {points.shape}")
+    points = _as_points(objectives)
     n = len(points)
     dominated = np.zeros(n, dtype=bool)
     for start in range(0, n, _DOMINANCE_CHUNK):
         block = points[start:start + _DOMINANCE_CHUNK]
-        left = points[:, None, :]
-        right = block[None, :, :]
-        beats = (left <= right).all(axis=2) & (left < right).any(axis=2)
-        dominated[start:start + _DOMINANCE_CHUNK] = beats.any(axis=0)
+        dominated[start:start + _DOMINANCE_CHUNK] = _dominance(points, block).any(axis=0)
     return dominated
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from repro.core.precision import Precision
@@ -122,13 +123,27 @@ class GenomeCodec:
         """Legal per-cycle input slices: divisors of the input width."""
         return divisors(self.precision.input_bits)
 
+    @cached_property
+    def _bounds(self) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+        """``(min_a, max_a, max_b, max_c, total_exponent, k_choices)``.
+
+        Derived once per codec: the properties above go through
+        ``math.log2``/:func:`divisors` on every access, and the GA's
+        breeding loop calls :meth:`repair` thousands of times per run.
+        """
+        return (
+            self.min_a, self.max_a, self.max_b, self.max_c,
+            self.total_exponent, tuple(self.k_choices),
+        )
+
     # Sampling / repair ----------------------------------------------------
     def sample(self, rng: random.Random) -> Genome:
         """Draw a random feasible genome (uniform over repaired draws)."""
-        a = rng.randint(self.min_a, self.max_a)
-        b = rng.randint(0, self.max_b)
-        c = rng.randint(0, self.max_c)
-        k_idx = rng.randrange(len(self.k_choices))
+        min_a, max_a, max_b, max_c, _, k_choices = self._bounds
+        a = rng.randint(min_a, max_a)
+        b = rng.randint(0, max_b)
+        c = rng.randint(0, max_c)
+        k_idx = rng.randrange(len(k_choices))
         return self.repair((a, b, c, k_idx), rng)
 
     def repair(self, genome: Genome, rng: random.Random) -> Genome:
@@ -136,44 +151,42 @@ class GenomeCodec:
 
         Clips each gene into its box, then redistributes the exponent
         surplus/deficit among ``(a, b, c)`` in random order so the sum
-        constraint holds exactly.
+        constraint holds exactly.  The order is always drawn, even when
+        nothing moves, so the rng stream does not depend on the genome.
         """
+        min_a, max_a, max_b, max_c, total, k_choices = self._bounds
         a, b, c, k_idx = genome
-        a = min(max(a, self.min_a), self.max_a)
-        b = min(max(b, 0), self.max_b)
-        c = min(max(c, 0), self.max_c)
-        k_idx = min(max(k_idx, 0), len(self.k_choices) - 1)
+        genes = [min(max(a, min_a), max_a), min(max(b, 0), max_b), min(max(c, 0), max_c)]
+        k_idx = min(max(k_idx, 0), len(k_choices) - 1)
 
-        lows = {"a": self.min_a, "b": 0, "c": 0}
-        highs = {"a": self.max_a, "b": self.max_b, "c": self.max_c}
-        genes = {"a": a, "b": b, "c": c}
-        delta = self.total_exponent - (a + b + c)
-        names = ["a", "b", "c"]
-        rng.shuffle(names)
-        for name in names:
+        lows = (min_a, 0, 0)
+        highs = (max_a, max_b, max_c)
+        delta = total - sum(genes)
+        order = [0, 1, 2]  # a, b, c
+        rng.shuffle(order)
+        for gene in order:
             if delta == 0:
                 break
             if delta > 0:
-                room = highs[name] - genes[name]
-                step = min(room, delta)
+                step = min(highs[gene] - genes[gene], delta)
             else:
-                room = genes[name] - lows[name]
-                step = -min(room, -delta)
-            genes[name] += step
+                step = -min(genes[gene] - lows[gene], -delta)
+            genes[gene] += step
             delta -= step
         if delta != 0:  # pragma: no cover - excluded by codec validation
             raise RuntimeError("repair failed; bounds validated at construction")
-        return (genes["a"], genes["b"], genes["c"], k_idx)
+        return (genes[0], genes[1], genes[2], k_idx)
 
     def is_feasible(self, genome: Genome) -> bool:
         """True when a genome decodes to a design meeting the spec."""
+        min_a, max_a, max_b, max_c, total, k_choices = self._bounds
         a, b, c, k_idx = genome
         return (
-            self.min_a <= a <= self.max_a
-            and 0 <= b <= self.max_b
-            and 0 <= c <= self.max_c
-            and 0 <= k_idx < len(self.k_choices)
-            and a + b + c == self.total_exponent
+            min_a <= a <= max_a
+            and 0 <= b <= max_b
+            and 0 <= c <= max_c
+            and 0 <= k_idx < len(k_choices)
+            and a + b + c == total
         )
 
     # Decoding -------------------------------------------------------------
@@ -187,7 +200,7 @@ class GenomeCodec:
             n=self.weight_bits * 2**a,
             h=2**b,
             l=2**c,
-            k=self.k_choices[k_idx],
+            k=self._bounds[-1][k_idx],
         )
 
     def decode_batch(self, genomes: Sequence[Genome]) -> list[DesignPoint]:
@@ -200,7 +213,7 @@ class GenomeCodec:
         """Decode many genomes into ``(N, H, L, k)`` parameter columns.
 
         This is the batch evaluation fast path: it checks feasibility
-        with the bounds hoisted out of the loop and skips
+        with the codec's cached bounds and skips
         :class:`DesignPoint` construction entirely, because the cost
         engine consumes raw parameter arrays.
 
@@ -208,10 +221,7 @@ class GenomeCodec:
             ValueError: on the first infeasible genome, matching
                 :meth:`decode`.
         """
-        min_a, max_a = self.min_a, self.max_a
-        max_b, max_c = self.max_b, self.max_c
-        total = self.total_exponent
-        k_choices = self.k_choices
+        min_a, max_a, max_b, max_c, total, k_choices = self._bounds
         n_k = len(k_choices)
         bw = self.weight_bits
         n, h, l, k = [], [], [], []

@@ -6,8 +6,9 @@ evaluation is batched (PR 2).  This package provides those primitives
 in two bit-identical backends, selected exactly like
 :mod:`repro.model.engine`:
 
-* ``"numpy"`` (:mod:`repro.dse.kernels.numpy`): O(M·N²) broadcast
-  dominance matrix, stable argsorts per objective.
+* ``"numpy"`` (:mod:`repro.dse.kernels.numpy`): O(M·N²) dominance
+  matrix built one objective column at a time, stable argsorts per
+  objective.
 * ``"python"`` (:mod:`repro.dse.kernels.python`): the pre-kernel
   reference implementation in index form.
 * ``"auto"``: numpy when importable, else python.

@@ -1,8 +1,10 @@
 """Vectorised NSGA-II bookkeeping kernels (numpy backend).
 
 Array-form implementations of the :mod:`repro.dse.kernels.python`
-reference: an O(M·N²) broadcast dominance matrix feeds the rank
-peeling, crowding runs as stable argsorts per objective, and the
+reference: an O(M·N²) dominance matrix (``(n, n)`` comparisons
+folded over the M objective columns, see
+:func:`repro.core.pareto.dominance_matrix`) feeds the rank peeling,
+crowding runs as stable argsorts per objective, and the
 archive front filter is one dominance pass.  Results — values *and*
 tie-breaking order — are bit-identical to the reference:
 

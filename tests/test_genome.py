@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.precision import STANDARD_PRECISIONS
 from repro.core.spec import DcimSpec
 from repro.dse.genome import GenomeCodec, divisors
 
@@ -139,3 +140,65 @@ class TestEnumerate:
         c = codec(wstore=8 * 1024, precision="INT8", min_n_factor=0)
         shapes = {(p.n, p.h, p.l) for p in map(c.decode, c.enumerate())}
         assert (32, 128, 16) in shapes
+
+
+def reference_repair(codec, genome, rng):
+    """The original dict-based repair, re-deriving every bound per call.
+
+    Kept as the oracle for :meth:`GenomeCodec.repair`: the GA's per-seed
+    trajectories depend on both its result and its rng draw order.
+    """
+    a, b, c, k_idx = genome
+    a = min(max(a, codec.min_a), codec.max_a)
+    b = min(max(b, 0), codec.max_b)
+    c = min(max(c, 0), codec.max_c)
+    k_idx = min(max(k_idx, 0), len(codec.k_choices) - 1)
+
+    lows = {"a": codec.min_a, "b": 0, "c": 0}
+    highs = {"a": codec.max_a, "b": codec.max_b, "c": codec.max_c}
+    genes = {"a": a, "b": b, "c": c}
+    delta = codec.total_exponent - (a + b + c)
+    names = ["a", "b", "c"]
+    rng.shuffle(names)
+    for name in names:
+        if delta == 0:
+            break
+        if delta > 0:
+            room = highs[name] - genes[name]
+            step = min(room, delta)
+        else:
+            room = genes[name] - lows[name]
+            step = -min(room, -delta)
+        genes[name] += step
+        delta -= step
+    assert delta == 0
+    return (genes["a"], genes["b"], genes["c"], k_idx)
+
+
+@st.composite
+def codecs(draw):
+    precision = draw(st.sampled_from(sorted(STANDARD_PRECISIONS)))
+    wstore = 2 ** draw(st.integers(min_value=12, max_value=18))  # 4K..256K
+    spec = DcimSpec(wstore=wstore, precision=precision)
+    if draw(st.booleans()):
+        exponent = draw(st.integers(min_value=0, max_value=12))
+        max_n = max(spec.min_n, spec.precision.weight_bits * 2**exponent)
+        spec = DcimSpec(wstore=wstore, precision=precision, max_n=max_n)
+    try:
+        return GenomeCodec(spec)
+    except ValueError:  # bounds that cannot hold this Wstore
+        return draw(st.nothing())
+
+
+class TestRepairParity:
+    @given(
+        codecs(),
+        st.lists(st.integers(min_value=-40, max_value=40), min_size=4, max_size=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_and_draw_order(self, c, genome, seed):
+        genome = tuple(genome)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert c.repair(genome, rng) == reference_repair(c, genome, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import pareto
 from repro.core.pareto import (
+    dominance_matrix,
+    dominated_flags,
     dominates,
     hypervolume,
     knee_point,
@@ -81,6 +84,52 @@ class TestParetoMask:
         for i, keep in enumerate(mask):
             if not keep:
                 assert any(dominates(f, pts[i]) for f in front)
+
+
+@st.composite
+def objective_arrays(draw):
+    """``(n, m)`` arrays, ``n`` and ``m`` possibly 0, rich in ties.
+
+    Values come from a small pool (with ``±inf`` and ``nan``) so equal
+    components and exact duplicate rows turn up often.
+    """
+    m = draw(st.integers(min_value=0, max_value=4))
+    value = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, 2.0, np.inf, np.nan])
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), max_size=10))
+    if rows:
+        copies = draw(st.lists(st.sampled_from(rows), max_size=3))
+        rows = rows + copies
+    return np.array(rows, dtype=float).reshape(len(rows), m)
+
+
+class TestDominanceKernelParity:
+    """The array kernels against the scalar Eq. (1) oracle, cell by cell.
+
+    ``_DOMINANCE_CHUNK`` is shrunk so inputs span several column
+    blocks, which the default block size only reaches past 1024 rows.
+    """
+
+    @given(objective_arrays(), st.sampled_from([1, 3, 1024]))
+    @example(np.empty((0, 0)), 3)
+    @example(np.empty((0, 3)), 3)
+    @example(np.empty((4, 0)), 3)
+    @example(np.array([[2.0], [1.0], [1.0], [np.inf], [-np.inf], [np.inf]]), 3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_dominates(self, points, chunk):
+        n = len(points)
+        expected = np.array(
+            [[dominates(points[i], points[j]) for j in range(n)] for i in range(n)],
+            dtype=bool,
+        ).reshape(n, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pareto, "_DOMINANCE_CHUNK", chunk)
+            matrix = dominance_matrix(points)
+            flags = dominated_flags(points)
+            mask = pareto_mask(points)
+        assert matrix.shape == (n, n)
+        assert np.array_equal(matrix, expected)
+        assert np.array_equal(flags, expected.any(axis=0))
+        assert np.array_equal(mask, ~expected.any(axis=0))
 
 
 class TestParetoFront:
