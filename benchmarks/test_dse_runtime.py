@@ -52,7 +52,7 @@ def _engine_vs_scalar():
     rows = [
         (f"evaluation core: scalar loop ({len(genomes)} genomes)", "-",
          f"{t_scalar * 1e3:.2f} ms"),
-        (f"evaluation core: batch engine [{problem.engine.backend}]",
+        ("evaluation core: batch engine",
          ">= 3x vs scalar", f"{t_batch * 1e3:.2f} ms ({speedup:.1f}x)"),
     ]
     return rows, speedup

@@ -1,4 +1,4 @@
-"""Evaluation service: run a cached, parallel multi-spec DSE campaign.
+"""Evaluation service: run a cached multi-spec DSE campaign.
 
 Explores two architectures (an INT8 and a BF16 candidate for the same
 application) as one campaign: both NSGA-II runs share a persistent
@@ -10,7 +10,7 @@ from disk, so the run costs no model evaluations at all.
 The same campaign can be driven from the command line::
 
     repro campaign --spec 8192:INT8 --spec 8192:BF16 \
-        --cache build/evals.jsonl --backend thread --workers 2
+        --cache build/evals.jsonl --workers 2
 
 For the progress-aware serving layer on top of this queue — streaming
 generation-by-generation events and cancelling campaigns mid-flight,
@@ -45,7 +45,6 @@ def main(cache_path: str = "build/campaign_evals.jsonl") -> None:
         nsga2=NSGA2Config(population_size=32, generations=20),
         seed=0,
         workers=2,
-        backend="thread",
     )
 
     for label in ("cold", "warm"):

@@ -20,20 +20,16 @@ echo "== batch/scalar parity =="
 python - <<'PY'
 from repro.core.spec import DcimSpec
 from repro.dse.problem import DcimProblem, objectives_of
-from repro.model.engine import HAS_NUMPY
 
-backends = ["python"] + (["numpy"] if HAS_NUMPY else [])
 for precision in ("INT8", "BF16"):
-    spec = DcimSpec(wstore=4096, precision=precision)
-    for backend in backends:
-        problem = DcimProblem(spec, engine_backend=backend)
-        genomes = problem.codec.enumerate()
-        scalar = [
-            objectives_of(problem.codec.decode(g).macro_cost(problem.library))
-            for g in genomes
-        ]
-        assert problem.evaluate_batch(genomes) == scalar, (precision, backend)
-        print(f"parity OK: {precision} x {backend} ({len(genomes)} genomes)")
+    problem = DcimProblem(DcimSpec(wstore=4096, precision=precision))
+    genomes = problem.codec.enumerate()
+    scalar = [
+        objectives_of(problem.codec.decode(g).macro_cost(problem.library))
+        for g in genomes
+    ]
+    assert problem.evaluate_batch(genomes) == scalar, precision
+    print(f"parity OK: {precision} ({len(genomes)} genomes)")
 PY
 
 echo "== DSE runtime bench (records .benchmarks/results/dse_runtime.txt) =="
@@ -85,7 +81,6 @@ run_campaign() {
     python -m repro campaign \
         --spec 4096:INT4 --spec 4096:INT8 \
         --population 16 --generations 6 \
-        --engine auto --chunk-size 64 \
         --cache "$cache" --cache-flush-every 128 --limit 5
 }
 
@@ -176,27 +171,13 @@ if ! grep -q "strategy: .*=exhaustive" <<<"$warm_output"; then
     exit 1
 fi
 
-echo "== GA kernel backends: bit-identical fronts =="
-run_ga_campaign() {
-    python -m repro campaign \
-        --spec 4096:INT8 --population 16 --generations 6 \
-        --ga-backend "$1" --exhaustive-threshold 0 \
-        --cache "$cache" --limit 5
-}
-ga_py_output="$(run_ga_campaign python)"
-ga_auto_output="$(run_ga_campaign auto)"
-echo "$ga_auto_output"
-if ! grep -q "ga kernels: python (requested python)" <<<"$ga_py_output"; then
-    echo "smoke: --ga-backend python was not honoured" >&2
-    exit 1
-fi
-if ! grep -q "strategy: 4096:INT8=ga" <<<"$ga_auto_output"; then
+echo "== GA path: --exhaustive-threshold 0 forces the GA =="
+ga_output="$(python -m repro campaign \
+    --spec 4096:INT8 --population 16 --generations 6 \
+    --exhaustive-threshold 0 --cache "$cache" --limit 5)"
+echo "$ga_output"
+if ! grep -q "strategy: 4096:INT8=ga" <<<"$ga_output"; then
     echo "smoke: --exhaustive-threshold 0 did not force the GA" >&2
-    exit 1
-fi
-# The frontier tables (every '|' row) must match across backends.
-if [[ "$(grep '^|' <<<"$ga_py_output")" != "$(grep '^|' <<<"$ga_auto_output")" ]]; then
-    echo "smoke: GA kernel backends produced different fronts" >&2
     exit 1
 fi
 

@@ -170,21 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="NSGA-II generations (default: the "
                                "problem's own)")
     campaign.add_argument("--seed", type=int, default=0, help="base GA seed")
-    campaign.add_argument("--backend", default="serial",
-                          choices=["serial", "thread", "process"],
-                          help="genome-level evaluation backend")
-    campaign.add_argument("--chunk-size", type=int, default=None,
-                          metavar="N",
-                          help="genomes per executor task (default: "
-                               "auto-sized per batch)")
-    campaign.add_argument("--engine", default="auto",
-                          choices=["auto", "numpy", "python"],
-                          help="cost-engine backend (bit-identical "
-                               "objectives either way)")
-    campaign.add_argument("--ga-backend", default="auto",
-                          choices=["auto", "numpy", "python"],
-                          help="GA kernel backend (bit-identical fronts "
-                               "either way)")
     campaign.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -372,18 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="NSGA-II generations (default: the "
                                "problem's own)")
     submit_p.add_argument("--seed", type=int, default=0, help="base GA seed")
-    submit_p.add_argument("--backend", default="serial",
-                          choices=["serial", "thread", "process"],
-                          help="genome-level evaluation backend")
     submit_p.add_argument("--workers", type=int, default=1,
                           help="specs explored concurrently")
-    submit_p.add_argument("--engine", default="auto",
-                          choices=["auto", "numpy", "python"],
-                          help="cost-engine backend")
-    submit_p.add_argument("--ga-backend", default="auto",
-                          choices=["auto", "numpy", "python"],
-                          help="GA kernel backend (bit-identical fronts "
-                               "either way)")
     submit_p.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -889,13 +864,9 @@ def _cmd_campaign(args) -> int:
             nsga2=NSGA2Config(
                 population_size=population,
                 generations=generations,
-                backend=args.ga_backend,
             ),
             seed=args.seed,
             workers=args.workers,
-            backend=args.backend,
-            chunk_size=args.chunk_size,
-            engine=args.engine,
             problem=args.problem,
             cache_flush_every=args.cache_flush_every,
             **threshold,
@@ -965,20 +936,11 @@ def _cmd_campaign(args) -> int:
         )
         print(ascii_table(headers, rows))
         stats = result.cache_stats
-        chunk_text = "auto" if args.chunk_size is None else str(args.chunk_size)
-        print(
-            f"engine: {result.engine_backend} "
-            f"(requested {args.engine}); "
-            f"executor: {args.backend}, chunk size {chunk_text}"
-        )
         strategy_text = ", ".join(
             f"{definition.spec_label(spec)}={strategy}"
             for spec, strategy in zip(specs, result.strategies)
         )
-        print(
-            f"strategy: {strategy_text}; "
-            f"ga kernels: {result.ga_backend} (requested {args.ga_backend})"
-        )
+        print(f"strategy: {strategy_text}")
         print(
             f"evaluations: {result.evaluations} unique genomes "
             f"({', '.join(f'{r.evaluations}' for r in result.results)} per spec), "
@@ -1214,11 +1176,8 @@ def _build_submit_request(args):
         population_size=population,
         generations=generations,
         seed=args.seed,
-        backend=args.backend,
         workers=args.workers,
-        engine=args.engine,
         problem=args.problem,
-        ga_backend=args.ga_backend,
         exhaustive_threshold=args.exhaustive_threshold,
     )
 
@@ -1240,8 +1199,7 @@ def _watch_job(client, job_id: str, cursor: int = 0, as_json: bool = False) -> i
         print(
             f"{job_id}: {len(response.frontier)} frontier designs, "
             f"{response.evaluations} evaluations "
-            f"({response.fresh_evaluations} fresh), "
-            f"engine {response.engine_backend}"
+            f"({response.fresh_evaluations} fresh)"
         )
     return 0
 
@@ -1345,8 +1303,6 @@ def _run_registry_command(args, store) -> int:
 
         record = store.resolve(args.run)
         print(record.describe())
-        if record.ga_backend:
-            print(f"ga kernels: {record.ga_backend}")
         front = store.front(record.run_id)
         try:
             legend = " ".join(get_problem(record.problem).objectives)

@@ -1,22 +1,14 @@
-"""Array-native NSGA-II primitives with numpy and pure-Python backends.
+"""Array-native NSGA-II primitives.
 
 The GA's per-generation bookkeeping — non-dominated sorting, crowding
 distance, the archive front filter — is the dominant cost now that
-evaluation is batched (PR 2).  This package provides those primitives
-in two bit-identical backends, selected exactly like
-:mod:`repro.model.engine`:
-
-* ``"numpy"`` (:mod:`repro.dse.kernels.numpy`): O(M·N²) dominance
-  matrix built one objective column at a time, stable argsorts per
-  objective.
-* ``"python"`` (:mod:`repro.dse.kernels.python`): the pre-kernel
-  reference implementation in index form.
-* ``"auto"``: numpy when importable, else python.
-
-Both backends return the same ranks, the same front orders (including
-every tie-break) and the same float64 crowding values, so per-seed
-``nsga2()`` trajectories are unchanged no matter which one runs — the
-hypothesis parity suite and golden-fingerprint tests pin this.
+evaluation is batched.  :mod:`repro.dse.kernels.numpy` implements those
+primitives on float64 arrays: an O(M·N²) dominance matrix built one
+objective column at a time, and stable argsorts per objective.
+:mod:`repro.dse.kernels.python` is the pure-Python reference they are
+tested against; it returns the same ranks, the same front orders
+(including every tie-break) and the same float64 crowding values, and
+nothing at run time uses it.
 
 The *variation* operators (tournament, uniform crossover, step
 mutation) and the hash-based archive dedup live here as shared code:
@@ -27,11 +19,11 @@ vectorising them would change per-seed results.  They operate on the
 parallel rank/crowding arrays the sort kernels produce, which is what
 makes the whole loop array-native.
 
-:class:`GAKernels` is the facade ``nsga2()`` drives; it resolves the
-backend once and times every sort/crowding call into the
-``repro_ga_sort_seconds`` / ``repro_ga_crowding_seconds`` histograms
-(labelled by backend) of the process metrics registry.  Timing happens
-outside all rng draws, so instrumentation never perturbs a run.
+:class:`GAKernels` is the facade ``nsga2()`` drives; it times every
+sort/crowding call into the ``repro_ga_sort_seconds`` /
+``repro_ga_crowding_seconds`` histograms of the process metrics
+registry.  Timing happens outside all rng draws, so instrumentation
+never perturbs a run.
 """
 
 from __future__ import annotations
@@ -40,13 +32,12 @@ import random
 import time
 from typing import Callable, Sequence
 
-from repro.model.engine import HAS_NUMPY
+import numpy as np
+
+from repro.dse.kernels import numpy as _array_kernels
 from repro.obs.metrics import get_registry
 
 __all__ = [
-    "KERNEL_BACKENDS",
-    "HAS_NUMPY",
-    "resolve_kernel_backend",
     "GAKernels",
     "tournament_index",
     "uniform_crossover",
@@ -57,78 +48,35 @@ __all__ = [
 
 Genome = tuple[int, ...]
 
-#: Backend names ``resolve_kernel_backend`` accepts.
-KERNEL_BACKENDS = ("auto", "numpy", "python")
-
-
-def resolve_kernel_backend(backend: str = "auto") -> str:
-    """Resolve a requested GA-kernel backend to the one that will run.
-
-    ``"auto"`` picks numpy when importable and falls back to the pure
-    Python reference otherwise; the explicit names force one path
-    (useful for parity tests and numpy-less deployments).
-
-    Raises:
-        ValueError: on an unknown name, or when ``"numpy"`` is forced
-            but numpy is not importable.
-    """
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown GA kernel backend {backend!r}; "
-            f"choose from {KERNEL_BACKENDS}"
-        )
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "numpy" and not HAS_NUMPY:
-        raise ValueError(
-            "GA kernel backend 'numpy' requested but numpy is not importable"
-        )
-    return backend
-
 
 class GAKernels:
-    """Resolved sort/crowding/front kernels plus their instrumentation.
+    """Sort/crowding/front kernels plus their instrumentation.
 
     Args:
-        backend: requested backend name (``auto``/``numpy``/``python``).
         registry: metrics registry to time kernel calls into; defaults
             to the process registry
             (:func:`repro.obs.metrics.get_registry`).  With the null
             registry every observation is a no-op.
     """
 
-    def __init__(self, backend: str = "auto", registry=None) -> None:
-        self.backend = resolve_kernel_backend(backend)
-        if self.backend == "numpy":
-            from repro.dse.kernels import numpy as impl
-        else:
-            from repro.dse.kernels import python as impl
-        self._impl = impl
+    _impl = _array_kernels
+
+    def __init__(self, registry=None) -> None:
         registry = get_registry() if registry is None else registry
         self._sort_seconds = registry.histogram(
             "repro_ga_sort_seconds",
             "Wall time of one non-dominated sort kernel call",
-            ("backend",),
-        ).labels(self.backend)
+        ).labels()
         self._crowding_seconds = registry.histogram(
             "repro_ga_crowding_seconds",
             "Wall time of one crowding-distance kernel call",
-            ("backend",),
-        ).labels(self.backend)
+        ).labels()
 
-    def as_matrix(self, objectives: Sequence[Sequence[float]]):
-        """Backend-native (N, M) objective container.
-
-        A float64 array for the numpy backend (exact conversion from
-        CPython floats), the sequence itself for the python reference.
-        """
-        if self.backend == "numpy":
-            import numpy as np
-
-            if not len(objectives):
-                return np.empty((0, 0), dtype=float)
-            return np.asarray(objectives, dtype=float)
-        return objectives
+    def as_matrix(self, objectives: Sequence[Sequence[float]]) -> np.ndarray:
+        """(N, M) float64 array (exact conversion from CPython floats)."""
+        if not len(objectives):
+            return np.empty((0, 0), dtype=float)
+        return np.asarray(objectives, dtype=float)
 
     def nondominated_sort(self, matrix) -> tuple[list[int], list[list[int]]]:
         """(ranks, fronts-as-index-lists) for an ``as_matrix`` result."""

@@ -4,11 +4,11 @@ This is the pre-kernel ``repro.dse.nsga2`` logic, refactored from
 Individual-object form to index form: every function takes a sequence
 of objective vectors (one tuple per individual) plus index lists, and
 returns indices/values instead of mutating objects.  It is the parity
-*reference* — the numpy backend in :mod:`repro.dse.kernels.numpy` must
+*reference* — the numpy kernels in :mod:`repro.dse.kernels.numpy` must
 reproduce these results (including tie-breaking order) bit for bit,
-which the hypothesis suite in ``tests/test_ga_kernels.py`` enforces.
+which the hypothesis suite in ``tests/test_ga_kernel_parity.py`` enforces.
 
-Ordering contracts the numpy backend replicates exactly:
+Ordering contracts the numpy kernels replicate exactly:
 
 * :func:`nondominated_sort` — front 0 in ascending index order; each
   later front in the order Deb's peeling loop discovers members, which

@@ -15,12 +15,10 @@ It is deliberately independent of DCIM specifics: anything implementing
 the small :class:`Problem` protocol can be optimised.
 
 Population state runs as parallel arrays (genome / objective / rank /
-crowding sequences) through the backend-selectable sort and crowding
-kernels of :mod:`repro.dse.kernels` — ``NSGA2Config.backend`` picks
-``numpy`` or the pure-Python reference exactly like the cost engine's
-``engine`` option, and both produce bit-identical per-seed results.
-:class:`Individual` objects are built only at the API boundary (the
-returned front and population), so the public shapes are unchanged.
+crowding sequences) through the array sort and crowding kernels of
+:mod:`repro.dse.kernels`.  :class:`Individual` objects are built only
+at the API boundary (the returned front and population), so the public
+shapes are unchanged.
 """
 
 from __future__ import annotations
@@ -29,13 +27,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
-from repro.dse.kernels import (
-    KERNEL_BACKENDS,
-    GAKernels,
-    breed_offspring,
-    novel_genomes,
-)
-from repro.dse.kernels import python as _reference_kernels
+from repro.dse.kernels import GAKernels, breed_offspring, novel_genomes
+from repro.dse.kernels import numpy as _array_kernels
 
 __all__ = [
     "Problem",
@@ -89,8 +82,8 @@ class BatchEvaluator(Protocol):
     """Optional injectable evaluator: one call per generation batch.
 
     Implementations (see :class:`repro.service.executor.ProblemEvaluator`)
-    may serve genomes from a shared persistent cache and fan the rest
-    out to thread/process pools.  Results must come back in input
+    may serve genomes from a shared persistent cache and hand the rest
+    to a batch executor.  Results must come back in input
     order, and evaluation must be a pure function of the genome so a
     cached run is bit-identical to an uncached one.
     """
@@ -119,10 +112,6 @@ class NSGA2Config:
     The defaults are sized so one (Wstore, precision) exploration runs in
     seconds (the paper quotes "within 30 minutes" on their server; our
     analytical models are much cheaper to evaluate).
-
-    ``backend`` selects the sort/crowding kernel implementation
-    (``auto``/``numpy``/``python``, see :mod:`repro.dse.kernels`); it
-    never changes results, only speed.
     """
 
     population_size: int = 64
@@ -130,7 +119,6 @@ class NSGA2Config:
     crossover_prob: float = 0.9
     mutation_prob: float = 0.3
     seed: int | None = None
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.population_size < 4 or self.population_size % 2:
@@ -140,11 +128,6 @@ class NSGA2Config:
         for p in (self.crossover_prob, self.mutation_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        if self.backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown GA kernel backend {self.backend!r}; "
-                f"choose from {KERNEL_BACKENDS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -221,12 +204,12 @@ def dominates(u: Sequence[float], v: Sequence[float]) -> bool:
 def fast_non_dominated_sort(population: list[Individual]) -> list[list[Individual]]:
     """Deb's fast non-dominated sort; assigns ranks and returns the fronts.
 
-    Object-level convenience over the index-form reference kernel
-    (:func:`repro.dse.kernels.python.nondominated_sort`), kept for
+    Object-level convenience over the index-form kernel
+    (:func:`repro.dse.kernels.numpy.nondominated_sort`), kept for
     callers that work with :class:`Individual` lists directly.
     """
     objectives = [ind.objectives for ind in population]
-    ranks, fronts = _reference_kernels.nondominated_sort(objectives)
+    ranks, fronts = _array_kernels.nondominated_sort(objectives)
     for ind, rank in zip(population, ranks):
         ind.rank = rank
     return [[population[i] for i in front] for front in fronts]
@@ -237,10 +220,10 @@ def crowding_distance(front: list[Individual]) -> None:
 
     Reorders ``front`` the way the per-objective stable sorts leave it,
     exactly as before the kernel refactor — object-level convenience
-    over :func:`repro.dse.kernels.python.crowding`.
+    over :func:`repro.dse.kernels.numpy.crowding`.
     """
     objectives = [ind.objectives for ind in front]
-    perm, dist = _reference_kernels.crowding(objectives, range(len(front)))
+    perm, dist = _array_kernels.crowding(objectives, range(len(front)))
     front[:] = [front[i] for i in perm]
     for ind, value in zip(front, dist):
         ind.crowding = value
@@ -279,17 +262,16 @@ def nsga2(
     Objective evaluations are memoised per genome in an archive dict:
     the DCIM space is discrete and the GA revisits points frequently.
     Each generation's *new* genomes are evaluated as one batch — through
-    ``evaluator`` when given (e.g. a cached thread/process-pool
+    ``evaluator`` when given (e.g. a cached
     :class:`repro.service.executor.ProblemEvaluator`), otherwise through
     the problem's own ``evaluate_batch``/``evaluate``.  Because
     evaluation is pure and order-preserving, the run is bit-identical
-    for a fixed seed regardless of the backend.
+    for a fixed seed regardless of the evaluator.
 
     Population state lives in parallel arrays (genomes, objectives,
-    ranks, crowding); sorting and crowding run through the configured
-    :mod:`repro.dse.kernels` backend, variation through the shared
-    single-rng-stream operators.  ``config.backend`` therefore never
-    changes results — the numpy and python kernels are bit-identical.
+    ranks, crowding); sorting and crowding run through the
+    :mod:`repro.dse.kernels` array kernels, variation through the shared
+    single-rng-stream operators.
 
     Args:
         observer: called with a :class:`GenerationProgress` after each
@@ -306,7 +288,7 @@ def nsga2(
     """
     config = config or NSGA2Config()
     rng = random.Random(config.seed)
-    kernels = GAKernels(config.backend)
+    kernels = GAKernels()
     #: Every genome ever evaluated, keyed for O(1) dedup lookups.
     archive: dict[Genome, tuple[float, ...]] = {}
     evaluations = 0

@@ -6,7 +6,7 @@ satisfied by the genome encoding (see :mod:`repro.dse.genome`), so the
 GA never sees infeasible points.
 
 Evaluation is batch-first: every path — the GA's per-generation
-batches, the evaluation service's chunked executors, the exhaustive
+batches, the evaluation service's executor chunks, the exhaustive
 baseline — funnels into :meth:`DcimProblem.evaluate_batch`, which
 decodes the genomes into parameter columns and ships them to the
 vectorised :class:`repro.model.engine.CostEngine`.  The scalar
@@ -54,18 +54,14 @@ class DcimProblem:
     Attributes:
         spec: the user specification (Fig. 4 "User Defined" inputs).
         library: normalised standard-cell library.
-        engine_backend: cost-engine backend (``auto``/``numpy``/
-            ``python``); every backend returns bit-identical objectives,
-            so this only changes throughput.
     """
 
     spec: DcimSpec
     library: CellLibrary = field(default_factory=CellLibrary.default)
-    engine_backend: str = "auto"
 
     def __post_init__(self) -> None:
         self.codec = GenomeCodec(self.spec)
-        self.engine = CostEngine(self.library, backend=self.engine_backend)
+        self.engine = CostEngine(self.library)
 
     # Problem protocol -----------------------------------------------------
     def sample(self, rng: random.Random) -> Genome:

@@ -16,18 +16,17 @@ Two ideas make the batch path fast:
    loops — ``adder_tree``, ``mux``, ``barrel_shifter`` — are evaluated
    once per *unique* parameter value and shared across the batch.
 2. **Vectorised assembly.**  The remaining per-genome arithmetic is a
-   fixed sequence of elementwise operations, executed on numpy arrays
-   when numpy is importable (the ``"numpy"`` backend) and as a plain
-   Python loop otherwise (the ``"python"`` backend).
+   fixed sequence of elementwise operations on numpy arrays.
 
-Both backends replicate the *exact* operation order of
+The array code replicates the *exact* operation order of
 :func:`repro.model.integer.int_macro_cost` and
 :func:`repro.model.floating.fp_macro_cost`, so the results are
 bit-identical to the scalar path: IEEE-754 double arithmetic is
 deterministic, and elementwise numpy float64 operations round exactly
 like CPython floats.  That guarantee is what keeps persisted
 :class:`repro.service.cache.EvaluationCache` entries and per-seed
-NSGA-II trajectories unchanged no matter which backend ran.
+NSGA-II trajectories unchanged; the scalar functions stay as the
+parity reference.
 """
 
 from __future__ import annotations
@@ -50,46 +49,9 @@ from repro.model.logic import multiplier_1xn, mux, register_bank
 from repro.model.macro import MacroCost
 from repro.tech.cells import CellLibrary
 
-try:  # numpy is optional: the python backend covers its absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - image bakes numpy in
-    _np = None
+import numpy as _np
 
-__all__ = [
-    "BatchCost",
-    "CostEngine",
-    "ENGINE_BACKENDS",
-    "HAS_NUMPY",
-    "resolve_backend",
-]
-
-#: True when the vectorised numpy backend can run in this interpreter.
-HAS_NUMPY = _np is not None
-
-#: Backend names accepted by :class:`CostEngine` and the CLI.
-ENGINE_BACKENDS = ("auto", "numpy", "python")
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a requested backend name to the one that will run.
-
-    ``"auto"`` picks numpy when importable and falls back to the pure
-    Python loop otherwise; the explicit names force one path (useful for
-    parity tests and for debugging numpy-less deployments).
-
-    Raises:
-        ValueError: on an unknown name, or when ``"numpy"`` is forced
-            but numpy is not importable.
-    """
-    if backend not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {backend!r}; choose from {ENGINE_BACKENDS}"
-        )
-    if backend == "auto":
-        return "numpy" if HAS_NUMPY else "python"
-    if backend == "numpy" and not HAS_NUMPY:
-        raise ValueError("engine backend 'numpy' requested but numpy is not importable")
-    return backend
+__all__ = ["BatchCost", "CostEngine"]
 
 
 @dataclass(frozen=True)
@@ -98,19 +60,16 @@ class BatchCost:
 
     The per-genome quantities mirror :class:`repro.model.macro.MacroCost`
     (same normalised NOR-gate units, same definitions), stored as plain
-    Python tuples so downstream consumers never see backend-specific
-    scalar types.
+    Python tuples so downstream consumers never see numpy scalar types.
 
     Attributes:
         arch: architecture template of the batch (``"mixed"`` when a
             point batch spans both templates).
-        backend: which engine backend produced the numbers.
         area / delay / energy_per_pass / cycles_per_pass / ops_per_pass /
             sram_bits: per-genome columns, in input order.
     """
 
     arch: str
-    backend: str
     area: tuple[float, ...]
     delay: tuple[float, ...]
     energy_per_pass: tuple[float, ...]
@@ -148,22 +107,8 @@ class BatchCost:
         )
 
 
-def _empty_batch(arch: str, backend: str) -> BatchCost:
-    return BatchCost(arch, backend, (), (), (), (), (), ())
-
-
-def _batch_from_macro_costs(arch: str, costs: Sequence[MacroCost]) -> BatchCost:
-    """Columnarise scalar macro costs (the pure-Python backend's output)."""
-    return BatchCost(
-        arch,
-        "python",
-        tuple(c.area for c in costs),
-        tuple(c.delay for c in costs),
-        tuple(c.energy_per_pass for c in costs),
-        tuple(c.cycles_per_pass for c in costs),
-        tuple(c.ops_per_pass for c in costs),
-        tuple(c.sram_bits for c in costs),
-    )
+def _empty_batch(arch: str) -> BatchCost:
+    return BatchCost(arch, (), (), (), (), (), ())
 
 
 class CostEngine:
@@ -171,22 +116,15 @@ class CostEngine:
 
     One engine instance owns a component-cost memo keyed on the unique
     structural parameters, so repeated batches (e.g. one per NSGA-II
-    generation) get cheaper as the design space is covered.  Engines are
-    picklable, which lets :class:`repro.dse.problem.DcimProblem` carry
-    one into process-pool workers.
+    generation) get cheaper as the design space is covered.
 
     Args:
         library: normalised standard-cell library shared by all
             evaluations.
-        backend: ``"auto"`` (default), ``"numpy"``, or ``"python"``.
     """
 
-    def __init__(
-        self, library: CellLibrary | None = None, backend: str = "auto"
-    ) -> None:
+    def __init__(self, library: CellLibrary | None = None) -> None:
         self.library = library or CellLibrary.default()
-        self.requested_backend = backend
-        self.backend = resolve_backend(backend)
         self._memo: dict[tuple, Cost] = {}
 
     # Component memoisation ------------------------------------------------
@@ -306,7 +244,7 @@ class CostEngine:
             bx / bw: input and weight widths, shared by the batch.
         """
         if not len(n):
-            return _empty_batch("int-mul", self.backend)
+            return _empty_batch("int-mul")
         # Parameters draw from tiny discrete sets, so validating the
         # unique tuples (first-occurrence order) covers the whole batch
         # without an O(batch) scalar loop; same errors, same order.
@@ -315,20 +253,7 @@ class CostEngine:
             if params not in seen:
                 seen.add(params)
                 validate_int_params(*params, bx, bw)
-        if self.backend == "numpy":
-            return self._int_numpy(n, h, l, k, bx, bw)
-        return self._int_python(n, h, l, k, bx, bw)
-
-    def _int_python(self, n, h, l, k, bx: int, bw: int) -> BatchCost:
-        # The fallback IS the scalar model, fed memoised components: one
-        # formula copy, bit-identical by construction.
-        return _batch_from_macro_costs(
-            "int-mul",
-            [
-                self._int_macro_cost(ni, hi, li, ki, bx, bw)
-                for ni, hi, li, ki in zip(n, h, l, k)
-            ],
-        )
+        return self._int_numpy(n, h, l, k, bx, bw)
 
     def _int_numpy(self, n, h, l, k, bx: int, bw: int) -> BatchCost:
         lib = self.library
@@ -371,7 +296,6 @@ class CostEngine:
         ops = (2.0 * hf) * (nf / float(bw))
         return BatchCost(
             "int-mul",
-            "numpy",
             tuple(area.tolist()),
             tuple(delay.tolist()),
             tuple(energy.tolist()),
@@ -399,24 +323,13 @@ class CostEngine:
                 the batch.
         """
         if not len(n):
-            return _empty_batch("fp-prealign", self.backend)
+            return _empty_batch("fp-prealign")
         seen: set[tuple[int, int, int, int]] = set()
         for params in zip(n, h, l, k):
             if params not in seen:
                 seen.add(params)
                 validate_fp_params(*params, be, bm)
-        if self.backend == "numpy":
-            return self._fp_numpy(n, h, l, k, be, bm)
-        return self._fp_python(n, h, l, k, be, bm)
-
-    def _fp_python(self, n, h, l, k, be: int, bm: int) -> BatchCost:
-        return _batch_from_macro_costs(
-            "fp-prealign",
-            [
-                self._fp_macro_cost(ni, hi, li, ki, be, bm)
-                for ni, hi, li, ki in zip(n, h, l, k)
-            ],
-        )
+        return self._fp_numpy(n, h, l, k, be, bm)
 
     def _fp_numpy(self, n, h, l, k, be: int, bm: int) -> BatchCost:
         lib = self.library
@@ -487,7 +400,6 @@ class CostEngine:
         ops = (2.0 * hf) * (nf / float(bm))
         return BatchCost(
             "fp-prealign",
-            "numpy",
             tuple(area.tolist()),
             tuple(delay.tolist()),
             tuple(energy.tolist()),
@@ -506,7 +418,7 @@ class CostEngine:
         input order.
         """
         if not points:
-            return _empty_batch("mixed", self.backend)
+            return _empty_batch("mixed")
         groups: dict = {}
         for i, point in enumerate(points):
             groups.setdefault(point.precision, []).append(i)
@@ -537,7 +449,7 @@ class CostEngine:
             for column, row in zip(columns, rows):
                 for j, i in enumerate(indices):
                     column[i] = row[j]
-        return BatchCost(arch, self.backend, *(tuple(c) for c in columns))
+        return BatchCost(arch, *(tuple(c) for c in columns))
 
     def objectives_of_points(self, points: Sequence) -> list[tuple[float, ...]]:
         """``[A, D, E, -T]`` rows for many design points, in input order."""

@@ -742,15 +742,12 @@ class Tracer:
     ) -> Span:
         """Record an already-measured operation as a completed span.
 
-        The parent-side pattern for work that ran where this process
-        cannot observe it live — a process-pool worker measures its
-        chunk and returns the elapsed time; the parent records the span
-        here (mirroring how the executors feed their chunk histograms).
-        The span is back-dated so its wall-clock placement matches when
-        the work actually ran.
+        For work that was timed without a live span around it: the
+        caller measures the operation and records the span here.  The
+        span is back-dated so its wall-clock placement matches when the
+        work actually ran.
 
-        This is the hot-path recording primitive (executors call it per
-        chunk), so it skips the open-span bookkeeping entirely: a span
+        This is a hot-path recording primitive, so it skips the open-span bookkeeping entirely: a span
         born already ended never changes its trace's open count, which
         collapses start + end into one lock acquisition.
         """

@@ -71,10 +71,10 @@ class DcimProblemDefinition(ProblemDefinition):
             raise SpecValidationError(self.name, str(exc)) from None
         return request
 
-    def make_problem(self, spec, library=None, engine: str = "auto"):
+    def make_problem(self, spec, library=None):
         if library is None:
-            return DcimProblem(spec, engine_backend=engine)
-        return DcimProblem(spec, library, engine_backend=engine)
+            return DcimProblem(spec)
+        return DcimProblem(spec, library)
 
     def point_columns(self) -> tuple[str, ...]:
         return ("prec", "N", "H", "L", "k", *self.objectives)

@@ -140,18 +140,17 @@ class MappingProblem:
     computes every candidate's macro cost through one shared
     :class:`~repro.model.engine.CostEngine` call, then maps the network
     onto each system — evaluation is a pure function of the genome, so
-    runs are bit-identical per seed and cacheable across backends.
+    runs are bit-identical per seed and cacheable.
     """
 
     spec: MappingSpec
     library: CellLibrary = field(default_factory=CellLibrary.default)
-    engine_backend: str = "auto"
 
     def __post_init__(self) -> None:
         self.codec = GenomeCodec(self.spec.dcim_spec())
         self.layers = AVAILABLE_NETWORKS[self.spec.network]()
         self.tech = apply_corner(load_pdk(self.spec.pdk), self.spec.corner)
-        self.engine = CostEngine(self.library, backend=self.engine_backend)
+        self.engine = CostEngine(self.library)
         #: Largest macro-count exponent with ``2**em <= max_macros``.
         self.max_em = int(math.log2(self.spec.max_macros))
 
@@ -258,10 +257,10 @@ class MappingProblemDefinition(ProblemDefinition):
         except ValueError as exc:
             raise SpecValidationError(self.name, str(exc)) from None
 
-    def make_problem(self, spec, library=None, engine: str = "auto"):
+    def make_problem(self, spec, library=None):
         if library is None:
-            return MappingProblem(spec, engine_backend=engine)
-        return MappingProblem(spec, library, engine_backend=engine)
+            return MappingProblem(spec)
+        return MappingProblem(spec, library)
 
     def frontier_point(self, point: SystemPoint, objectives):
         from repro.service.api import FrontierPoint

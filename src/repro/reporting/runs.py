@@ -86,9 +86,7 @@ def run_report_markdown(
         f"- evaluations: {record.evaluations} "
         f"({record.fresh_evaluations} fresh)",
         f"- wall time: {record.wall_time_s:.2f} s",
-        f"- engine: {record.engine_backend or '-'}",
         f"- strategy: {record.strategy or '-'}",
-        f"- ga kernels: {record.ga_backend or '-'}",
         f"- fingerprint: `{record.fingerprint[:16]}...`",
     ]
     if record.cache_stats is not None:

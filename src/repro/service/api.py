@@ -17,7 +17,9 @@ loaders — they resolve to ``problem: "dcim"`` and produce bit-identical
 campaign results and identical :meth:`CampaignRequest.fingerprint`
 values, so existing request files, caches and registry rows keep
 matching.  Loaders ignore unknown keys with a warning instead of
-raising, so files written by newer schema versions stay readable.
+raising, so files written by newer schema versions stay readable; the
+evaluation knobs earlier releases accepted (:data:`RETIRED_DEFAULTS`
+plus ``ga_backend``) are dropped silently.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.problems.base import DEFAULT_PROBLEM, filter_unknown_keys
 from repro.service.cache import stable_hash
 
 __all__ = [
+    "RETIRED_DEFAULTS",
     "SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "SpecRequest",
@@ -43,6 +46,13 @@ SCHEMA_VERSION = 2
 
 #: Schemas the loaders accept (v1 payloads are upgraded in place).
 SUPPORTED_SCHEMA_VERSIONS = (1, 2)
+
+#: Evaluation knobs earlier releases accepted and hashed, at their
+#: defaults.  None of them ever changed a result, so they are gone from
+#: the records, yet fingerprints still hash these values (keeping every
+#: existing hash valid) and loaders drop the keys, together with the
+#: never-hashed ``ga_backend``, without an unknown-key warning.
+RETIRED_DEFAULTS = {"backend": "serial", "chunk_size": None, "engine": "auto"}
 
 
 @dataclass(frozen=True)
@@ -102,15 +112,7 @@ class CampaignRequest:
             one ``GET /api/problems`` advertises) at construction, so
             a stored request always carries concrete numbers.
         seed: base GA seed; spec ``i`` runs with ``seed + i``.
-        backend: evaluation backend (``serial``/``thread``/``process``).
         workers: campaign-level parallelism (specs explored at once).
-        chunk_size: genomes per executor task (``None`` = automatic).
-        engine: cost-engine backend (``auto``/``numpy``/``python``);
-            all choices return bit-identical objective vectors.
-        ga_backend: GA sort/crowding kernel backend
-            (``auto``/``numpy``/``python``, see
-            :mod:`repro.dse.kernels`); all choices return bit-identical
-            campaign results, so it never enters the fingerprint.
         exhaustive_threshold: largest enumerable design space explored
             exhaustively instead of via the GA; ``0`` forces the GA
             everywhere, omitted/``None`` resolves to the library
@@ -126,11 +128,7 @@ class CampaignRequest:
     population_size: int | None = None
     generations: int | None = None
     seed: int = 0
-    backend: str = "serial"
     workers: int = 1
-    chunk_size: int | None = None
-    engine: str = "auto"
-    ga_backend: str = "auto"
     exhaustive_threshold: int | None = None
     schema_version: int = SCHEMA_VERSION
     problem: str = DEFAULT_PROBLEM
@@ -142,21 +140,14 @@ class CampaignRequest:
                 f"supported: {list(SUPPORTED_SCHEMA_VERSIONS)}"
             )
         from repro.dse.explorer import DEFAULT_EXHAUSTIVE_THRESHOLD
-        from repro.dse.kernels import KERNEL_BACKENDS
+        from repro.dse.nsga2 import NSGA2Config
 
-        if self.ga_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown GA kernel backend {self.ga_backend!r}; "
-                f"choose from {KERNEL_BACKENDS}"
-            )
         # Omitted threshold resolves to the library default, so stored
         # requests always carry the concrete number they ran with.
         if self.exhaustive_threshold is None:
             object.__setattr__(
                 self, "exhaustive_threshold", DEFAULT_EXHAUSTIVE_THRESHOLD
             )
-        if self.exhaustive_threshold < 0:
-            raise ValueError("exhaustive_threshold must be >= 0")
         # Requests are always upgraded to the current schema in memory.
         object.__setattr__(self, "schema_version", SCHEMA_VERSION)
         from repro.problems import get_problem
@@ -176,6 +167,23 @@ class CampaignRequest:
             object.__setattr__(
                 self, "generations", definition.sizing.generations
             )
+        # Reject what could never run here, so a submit answers 400
+        # instead of queueing a job that fails (or, for a non-integer
+        # seed on an enumerable space, silently succeeds).
+        for name in (
+            "population_size", "generations", "seed", "workers",
+            "exhaustive_threshold",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        NSGA2Config(
+            population_size=self.population_size, generations=self.generations
+        )
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.exhaustive_threshold < 0:
+            raise ValueError("exhaustive_threshold must be >= 0")
         # Tolerate lists and raw dicts from JSON callers; the problem's
         # registry entry validates each spec payload.
         specs = tuple(definition.parse_spec(s) for s in self.specs)
@@ -197,11 +205,11 @@ class CampaignRequest:
         del payload["schema_version"]
         if self.problem == DEFAULT_PROBLEM:
             del payload["problem"]
-        # The GA kernel backend can never change results, so it never
-        # hashes; the exhaustive threshold only hashes when it differs
-        # from the library default.  Both rules keep fingerprints from
-        # before these knobs existed matching.
-        del payload["ga_backend"]
+        # Retired knobs hash at their old defaults, and the exhaustive
+        # threshold only hashes when it differs from the library
+        # default: fingerprints from before and after either change
+        # keep matching.
+        payload.update(RETIRED_DEFAULTS)
         from repro.dse.explorer import DEFAULT_EXHAUSTIVE_THRESHOLD
 
         if self.exhaustive_threshold == DEFAULT_EXHAUSTIVE_THRESHOLD:
@@ -220,6 +228,8 @@ class CampaignRequest:
         payload = dict(payload)
         version = payload.pop("schema_version", 1)
         problem = payload.pop("problem", DEFAULT_PROBLEM)
+        for key in (*RETIRED_DEFAULTS, "ga_backend"):
+            payload.pop(key, None)
         if version not in SUPPORTED_SCHEMA_VERSIONS:
             raise ValueError(
                 f"unsupported schema_version {version!r}; "
@@ -325,14 +335,10 @@ class CampaignResponse:
         cache_stats: cache counters (``CacheStats.as_dict`` shape), or
             ``None`` when the campaign ran uncached.
         wall_time_s: end-to-end campaign wall clock.
-        engine_backend: which cost-engine backend ran
-            (``numpy``/``python``).
         problem: registry name of the problem the campaign optimised.
         strategies: per-spec exploration strategy (``"ga"`` or
             ``"exhaustive"``), in spec input order; empty for records
             written before strategies were tracked.
-        ga_backend: resolved GA kernel backend (``numpy``/``python``),
-            or ``None`` for pre-kernel records.
     """
 
     frontier: tuple[FrontierPoint, ...]
@@ -341,10 +347,8 @@ class CampaignResponse:
     per_spec_evaluations: tuple[int, ...] = ()
     cache_stats: dict | None = None
     wall_time_s: float = 0.0
-    engine_backend: str = "python"
     problem: str = DEFAULT_PROBLEM
     strategies: tuple[str, ...] = ()
-    ga_backend: str | None = None
 
     def __post_init__(self) -> None:
         frontier = tuple(
@@ -369,10 +373,8 @@ class CampaignResponse:
                 dict(self.cache_stats) if self.cache_stats is not None else None
             ),
             "wall_time_s": self.wall_time_s,
-            "engine_backend": self.engine_backend,
             "problem": self.problem,
             "strategies": list(self.strategies),
-            "ga_backend": self.ga_backend,
         }
 
     def to_json(self) -> str:

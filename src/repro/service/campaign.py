@@ -8,8 +8,8 @@ batch executor, so overlapping design spaces are evaluated once no
 matter how many specs (or repeated campaigns) touch them.
 
 Spec-level sharding uses threads: each worker thread drives its own
-NSGA-II run while the genome-level batches fan out through the shared
-(serial/thread/process) executor underneath.
+NSGA-II run while the genome-level batches go through the shared
+executor underneath.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from repro.dse.explorer import (
     ExplorationResult,
     merge_exploration_results,
 )
-from repro.dse.kernels import resolve_kernel_backend
 from repro.dse.nsga2 import GenerationProgress, NSGA2Config
-from repro.model.engine import ENGINE_BACKENDS, resolve_backend
 from repro.obs.metrics import get_registry
 from repro.obs.trace import (
     NULL_SPAN,
@@ -41,7 +39,7 @@ from repro.obs.trace import (
     use_span,
 )
 from repro.problems import DEFAULT_PROBLEM, get_problem
-from repro.service.api import CampaignRequest, CampaignResponse
+from repro.service.api import RETIRED_DEFAULTS, CampaignRequest, CampaignResponse
 from repro.service.cache import CacheStats, EvaluationCache
 from repro.service.events import (
     CampaignCancelled,
@@ -49,7 +47,7 @@ from repro.service.events import (
     CampaignObserver,
     EventKind,
 )
-from repro.service.executor import BatchExecutor, make_executor
+from repro.service.executor import BatchExecutor, SerialExecutor
 from repro.tech.cells import CellLibrary
 
 __all__ = [
@@ -70,14 +68,6 @@ class CampaignConfig:
         seed: base seed; spec ``i`` explores with ``seed + i`` so runs
             are reproducible yet decorrelated.
         workers: how many specs are explored concurrently.
-        backend: genome-level evaluation backend
-            (``serial``/``thread``/``process``); ignored when an
-            executor instance is passed to :func:`run_campaign`.
-        chunk_size: genomes per executor task (``None`` lets the pool
-            size chunks itself); ignored with a caller-provided
-            executor.
-        engine: cost-engine backend (``auto``/``numpy``/``python``)
-            used inside every problem; bit-identical across choices.
         problem: :mod:`repro.problems` registry name; every spec of the
             campaign is explored through that entry's problem factory.
         exhaustive_threshold: largest enumerable design space that is
@@ -106,9 +96,6 @@ class CampaignConfig:
     nsga2: NSGA2Config = field(default_factory=NSGA2Config)
     seed: int = 0
     workers: int = 1
-    backend: str = "serial"
-    chunk_size: int | None = None
-    engine: str = "auto"
     problem: str = DEFAULT_PROBLEM
     exhaustive_threshold: int | None = DEFAULT_EXHAUSTIVE_THRESHOLD
     cache_flush_every: int | None = None
@@ -117,17 +104,10 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when given")
         if self.cache_flush_every is not None and self.cache_flush_every < 0:
             raise ValueError("cache_flush_every must be >= 0 when given")
         if self.exhaustive_threshold is not None and self.exhaustive_threshold < 0:
             raise ValueError("exhaustive_threshold must be >= 0 when given")
-        if self.engine not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {self.engine!r}; "
-                f"choose from {ENGINE_BACKENDS}"
-            )
         try:
             get_problem(self.problem)
         except KeyError as exc:
@@ -148,8 +128,6 @@ class CampaignResult:
         cache_stats: snapshot of the shared cache counters for this
             campaign (``None`` when uncached).
         wall_time_s: end-to-end wall clock.
-        engine_backend: which cost-engine backend ran
-            (``numpy``/``python``).
         run_id: registry id assigned when the campaign was recorded
             into a :class:`~repro.store.runstore.RunStore` (``None``
             for unrecorded campaigns).
@@ -158,8 +136,6 @@ class CampaignResult:
             frontier records).
         strategies: per-spec exploration strategy (``"ga"`` or
             ``"exhaustive"``), in spec input order.
-        ga_backend: resolved GA kernel backend
-            (``numpy``/``python``) that ran the sort/crowding kernels.
     """
 
     results: list[ExplorationResult]
@@ -168,11 +144,9 @@ class CampaignResult:
     evaluations: int = 0
     cache_stats: CacheStats | None = None
     wall_time_s: float = 0.0
-    engine_backend: str = "python"
     run_id: str | None = None
     problem: str = DEFAULT_PROBLEM
     strategies: tuple[str, ...] = ()
-    ga_backend: str | None = None
 
     @property
     def fresh_evaluations(self) -> int:
@@ -201,10 +175,8 @@ class CampaignResult:
             per_spec_evaluations=tuple(r.evaluations for r in self.results),
             cache_stats=self.cache_stats.as_dict() if self.cache_stats else None,
             wall_time_s=self.wall_time_s,
-            engine_backend=self.engine_backend,
             problem=self.problem,
             strategies=self.strategies,
-            ga_backend=self.ga_backend,
         )
 
 
@@ -223,18 +195,19 @@ def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
     identical workloads share it).  Like the request fingerprint, the
     default ``"dcim"`` problem hashes the pre-v2 config layout so
     registry rows recorded before the schema upgrade keep matching.
-    The GA kernel backend never enters the hash (it cannot change
-    results), and the exhaustive threshold only does when it differs
-    from the default — so rows recorded before these knobs existed keep
-    matching too.  ``cache_flush_every`` and ``cache_backend`` are pure
-    I/O/dedup plumbing and stay out unconditionally.
+    The retired evaluation knobs hash at their old defaults
+    (:data:`~repro.service.api.RETIRED_DEFAULTS`), and the exhaustive
+    threshold only hashes when it differs from the default — so rows
+    recorded before and after these knobs keep matching.
+    ``cache_flush_every`` and ``cache_backend`` are pure I/O/dedup
+    plumbing and stay out unconditionally.
     """
     from repro.service.cache import stable_hash
 
     config_payload = dataclasses.asdict(config)
+    config_payload.update(RETIRED_DEFAULTS)
     if config.problem == DEFAULT_PROBLEM:
         del config_payload["problem"]
-    del config_payload["nsga2"]["backend"]
     del config_payload["cache_flush_every"]
     del config_payload["cache_backend"]
     if config.exhaustive_threshold == DEFAULT_EXHAUSTIVE_THRESHOLD:
@@ -270,9 +243,10 @@ def run_campaign(
         cache: shared evaluation cache; campaigns that pass the same
             instance (or the same on-disk path) dedupe work across
             invocations.
-        executor: genome-level batch backend; built from
-            ``config.backend`` when omitted (and closed on exit — a
-            caller-provided executor is left open for reuse).
+        executor: genome-level batch executor; a
+            :class:`~repro.service.executor.SerialExecutor` when
+            omitted (a caller-provided executor is left open for
+            reuse).
         observer: called with a :class:`~repro.service.events.
             CampaignEvent` as the campaign progresses (spec started /
             generation done / spec done / campaign done).  With
@@ -304,20 +278,14 @@ def run_campaign(
 
         cache = make_cache(config.cache_backend)
     definition = get_problem(config.problem)
-    # Resolve the backends first: a resolution failure must not leak a
-    # freshly spawned worker pool.
-    engine_backend = resolve_backend(config.engine)
-    ga_backend = resolve_kernel_backend(config.nsga2.backend)
-    own_executor = executor is None
-    executor = executor or make_executor(config.backend, chunk_size=config.chunk_size)
+    executor = executor or SerialExecutor()
     explorer = DesignSpaceExplorer(
         library,
         config.nsga2,
         cache=cache,
         executor=executor,
-        engine=config.engine,
         problem_factory=lambda spec: definition.make_problem(
-            spec, library=library, engine=config.engine
+            spec, library=library
         ),
         exhaustive_threshold=config.exhaustive_threshold,
     )
@@ -333,7 +301,6 @@ def run_campaign(
         attributes={
             "problem": config.problem,
             "specs": len(specs),
-            "backend": getattr(executor, "name", config.backend),
             "workers": config.workers,
         },
         root_if_orphan=True,
@@ -347,28 +314,28 @@ def run_campaign(
     m_generations = registry.counter(
         "repro_campaign_generations_total",
         "GA generations completed across campaigns",
-        ("problem", "ga_backend"),
-    ).labels(config.problem, ga_backend)
+        ("problem",),
+    ).labels(config.problem)
     m_generation_seconds = registry.histogram(
         "repro_campaign_generation_seconds",
         "Wall time of one GA generation",
-        ("problem", "ga_backend"),
-    ).labels(config.problem, ga_backend)
+        ("problem",),
+    ).labels(config.problem)
     m_front_size = registry.gauge(
         "repro_campaign_front_size",
         "Pareto front size reported by the most recent generation",
-        ("problem", "ga_backend"),
-    ).labels(config.problem, ga_backend)
+        ("problem",),
+    ).labels(config.problem)
     m_campaigns = registry.counter(
         "repro_campaigns_total",
         "Campaigns finished, by outcome",
-        ("problem", "status", "ga_backend"),
+        ("problem", "status"),
     )
     m_campaign_seconds = registry.histogram(
         "repro_campaign_seconds",
         "End-to-end campaign wall time",
-        ("problem", "ga_backend"),
-    ).labels(config.problem, ga_backend)
+        ("problem",),
+    ).labels(config.problem)
 
     def emit(event: CampaignEvent) -> None:
         if observer is not None:
@@ -573,8 +540,6 @@ def run_campaign(
         campaign_span.end(status="error", error=f"{type(exc).__name__}: {exc}")
         raise
     finally:
-        if own_executor:
-            executor.close()
         if own_cache:
             cache.close()
     wall_time = time.perf_counter() - started
@@ -586,7 +551,7 @@ def run_campaign(
         done = sum(result is not None for result in maybe_results)
         message = f"campaign cancelled after {done}/{len(specs)} specs"
         campaign_span.end(status="error", error=message)
-        m_campaigns.labels(config.problem, "cancelled", ga_backend).inc()
+        m_campaigns.labels(config.problem, "cancelled").inc()
         if store is not None:
             _record_safely(
                 store.record_failure,
@@ -600,7 +565,7 @@ def run_campaign(
         raise CampaignCancelled(message)
     results: list[ExplorationResult] = maybe_results
 
-    m_campaigns.labels(config.problem, "done", ga_backend).inc()
+    m_campaigns.labels(config.problem, "done").inc()
     m_campaign_seconds.observe(wall_time)
     merged_points, merged_objs = merge_exploration_results(results)
     emit(
@@ -630,10 +595,8 @@ def run_campaign(
         evaluations=sum(r.evaluations for r in results),
         cache_stats=stats,
         wall_time_s=wall_time,
-        engine_backend=engine_backend,
         problem=config.problem,
         strategies=tuple(r.strategy for r in results),
-        ga_backend=ga_backend,
     )
     if store is not None:
         record = _record_safely(
@@ -702,13 +665,9 @@ def execute_request(
         nsga2=NSGA2Config(
             population_size=request.population_size,
             generations=request.generations,
-            backend=request.ga_backend,
         ),
         seed=request.seed,
         workers=request.workers,
-        backend=request.backend,
-        chunk_size=request.chunk_size,
-        engine=request.engine,
         problem=request.problem,
         exhaustive_threshold=request.exhaustive_threshold,
     )

@@ -738,8 +738,6 @@ class WorkCoordinator:
         objectives: list[tuple[float, ...]] = []
         per_spec: list[int] = []
         strategies: list[str] = []
-        engine_backend = "python"
-        ga_backend = None
         cache_totals: dict[str, float] | None = {}
         for unit in campaign.units:
             result = unit.result or {}
@@ -749,8 +747,6 @@ class WorkCoordinator:
                 objectives.append(tuple(point.objectives))
             per_spec.append(int(result.get("evaluations") or 0))
             strategies.append(result.get("strategy") or "ga")
-            engine_backend = result.get("engine_backend") or engine_backend
-            ga_backend = result.get("ga_backend") or ga_backend
             stats = result.get("cache_stats")
             if stats is None:
                 cache_totals = None
@@ -783,10 +779,8 @@ class WorkCoordinator:
             per_spec_evaluations=tuple(per_spec),
             cache_stats=cache_totals,
             wall_time_s=wall_time,
-            engine_backend=engine_backend,
             problem=campaign.request.problem,
             strategies=tuple(strategies),
-            ga_backend=ga_backend,
         )
 
 

@@ -306,13 +306,9 @@ class CampaignWorker:
             nsga2=NSGA2Config(
                 population_size=request.population_size,
                 generations=request.generations,
-                backend=request.ga_backend,
             ),
             seed=request.seed,
             workers=1,
-            backend=request.backend,
-            chunk_size=request.chunk_size,
-            engine=request.engine,
             problem=request.problem,
             exhaustive_threshold=request.exhaustive_threshold,
         )
@@ -336,8 +332,6 @@ class CampaignWorker:
             "evaluations": exploration.evaluations,
             "generations_run": exploration.generations_run,
             "strategy": exploration.strategy,
-            "engine_backend": result.engine_backend,
-            "ga_backend": result.ga_backend,
             "cache_stats": (
                 result.cache_stats.as_dict()
                 if result.cache_stats is not None

@@ -42,6 +42,10 @@ __all__ = ["MetricsSnapshot", "RunRecord", "RunStore", "point_hash"]
 #: Terminal statuses a run row may carry.
 RUN_STATUSES = ("done", "failed", "cancelled")
 
+#: ``runs.engine_backend`` and ``runs.ga_backend`` are legacy columns:
+#: they recorded evaluation knobs that no longer exist.  They stay so
+#: existing database files need no destructive migration, and new rows
+#: leave them NULL.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
     run_id TEXT PRIMARY KEY,
@@ -171,7 +175,6 @@ class RunRecord:
         wall_time_s: campaign wall clock.
         evaluations / fresh_evaluations: unique genomes looked up /
             actually computed (cache misses).
-        engine_backend: cost-engine backend that ran.
         specs: per-spec labels (``"<wstore>:<precision>"`` for DCIM).
         front_size: merged-frontier rows recorded for this run.
         cache_stats: cache counter snapshot (``None`` when uncached).
@@ -182,8 +185,6 @@ class RunRecord:
         strategy: exploration strategy summary — ``"ga"`` or
             ``"exhaustive"`` when every spec used that strategy,
             ``"mixed"`` otherwise, ``None`` for pre-strategy rows.
-        ga_backend: resolved GA kernel backend (``numpy``/``python``),
-            ``None`` for pre-kernel rows.
     """
 
     run_id: str
@@ -194,14 +195,12 @@ class RunRecord:
     wall_time_s: float = 0.0
     evaluations: int = 0
     fresh_evaluations: int = 0
-    engine_backend: str | None = None
     specs: tuple[str, ...] = ()
     front_size: int = 0
     cache_stats: dict | None = None
     error: str | None = None
     problem: str = "dcim"
     strategy: str | None = None
-    ga_backend: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -213,14 +212,12 @@ class RunRecord:
             "wall_time_s": self.wall_time_s,
             "evaluations": self.evaluations,
             "fresh_evaluations": self.fresh_evaluations,
-            "engine_backend": self.engine_backend,
             "specs": list(self.specs),
             "front_size": self.front_size,
             "cache_stats": self.cache_stats,
             "error": self.error,
             "problem": self.problem,
             "strategy": self.strategy,
-            "ga_backend": self.ga_backend,
         }
 
     @classmethod
@@ -438,16 +435,12 @@ class RunStore:
             fresh_evaluations=(
                 response.fresh_evaluations if response is not None else 0
             ),
-            engine_backend=(
-                response.engine_backend if response is not None else None
-            ),
             specs=specs,
             front_size=len(frontier),
             cache_stats=response.cache_stats if response is not None else None,
             error=error,
             problem=problem,
             strategy=_summarize_strategies(response),
-            ga_backend=response.ga_backend if response is not None else None,
         )
 
     def _insert_run_locked(
@@ -467,9 +460,8 @@ class RunStore:
         self._conn.execute(
             "INSERT INTO runs (run_id, name, fingerprint, status, "
             "created_at, wall_time_s, evaluations, fresh_evaluations, "
-            "engine_backend, specs, request, cache_stats, error, problem, "
-            "strategy, ga_backend) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "specs, request, cache_stats, error, problem, strategy) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 run_id,
                 name,
@@ -479,7 +471,6 @@ class RunStore:
                 response.wall_time_s if response is not None else 0.0,
                 response.evaluations if response is not None else 0,
                 response.fresh_evaluations if response is not None else 0,
-                response.engine_backend if response is not None else None,
                 json.dumps(list(specs)),
                 request.to_json() if request is not None else None,
                 (
@@ -490,7 +481,6 @@ class RunStore:
                 error,
                 problem,
                 _summarize_strategies(response),
-                response.ga_backend if response is not None else None,
             ),
         )
         for position, point in enumerate(frontier):
@@ -1052,14 +1042,14 @@ class RunStore:
             wall_time_s,
             evaluations,
             fresh_evaluations,
-            engine_backend,
+            _engine_backend,
             specs,
             _request,
             cache_stats,
             error,
             problem,
             strategy,
-            ga_backend,
+            _ga_backend,
             front_size,
         ) = row
         return RunRecord(
@@ -1071,14 +1061,12 @@ class RunStore:
             wall_time_s=wall_time_s,
             evaluations=evaluations,
             fresh_evaluations=fresh_evaluations,
-            engine_backend=engine_backend,
             specs=tuple(json.loads(specs)),
             front_size=front_size,
             cache_stats=json.loads(cache_stats) if cache_stats else None,
             error=error,
             problem=problem,
             strategy=strategy,
-            ga_backend=ga_backend,
         )
 
     def request_of(self, run_id: str) -> CampaignRequest | None:

@@ -47,6 +47,19 @@ GOLDEN_V1_FINGERPRINT = (
     "b06efebc6d3294e3a91511ee5c712c2101937ceec0ebe894fa439cc1fa974ec3"
 )
 
+#: Fingerprints computed while ``engine``/``backend``/``chunk_size``/
+#: ``ga_backend`` were still request and config fields, pinned so that
+#: retiring those knobs cannot move them.
+DCIM_CAMPAIGN_FINGERPRINT = (  # [DcimSpec(4096, "INT8")], CampaignConfig()
+    "447bf75d88ea068dbc2a3227eb914f1f0d1d51c4edbfb91e3597e7bb6723bb95"
+)
+MAPPING_CAMPAIGN_FINGERPRINT = (  # tiny_cnn at 4096, mapping config
+    "b01c8a2eac35292325b92ce73ce6dcae54d83144c34a871edf926b96add781aa"
+)
+MAPPING_REQUEST_FINGERPRINT = (  # CampaignRequest(problem="mapping", ...)
+    "79a6125532eb411a5a69ca5c281df8a2a2482a84ca13dd8dd2f654abb6e6465a"
+)
+
 
 def equivalent_v2_request() -> CampaignRequest:
     """The same campaign, written in the v2 layout."""
@@ -145,19 +158,11 @@ class TestV1Upgrade:
     def test_no_problem_hashes_schema_version(self):
         """Fingerprints identify workloads: a future schema bump must
         not silently re-fingerprint any problem's requests."""
-        from repro.service.cache import stable_hash
-
         request = CampaignRequest(
             problem="mapping",
             specs=({"network": "tiny_cnn", "wstore": 4096},),
         )
-        expected = request.to_dict()
-        del expected["schema_version"]
-        # GA backend and the default exhaustive threshold never change
-        # results, so they are excluded from workload identity too.
-        del expected["ga_backend"]
-        del expected["exhaustive_threshold"]
-        assert request.fingerprint() == stable_hash(expected)
+        assert request.fingerprint() == MAPPING_REQUEST_FINGERPRINT
 
     def test_dcim_wire_spec_fails_fast_on_bad_precision(self):
         """A dict payload with a bad precision is rejected at the API
@@ -173,6 +178,19 @@ class TestV1Upgrade:
 
 
 class TestForwardCompatibility:
+    def test_retired_knobs_load_silently_and_keep_the_fingerprint(self):
+        """Files written while the evaluation knobs existed still load,
+        without a warning, as the same workload."""
+        payload = json.loads(GOLDEN_V1_JSON)
+        payload.update(
+            engine="python", backend="process", chunk_size=7,
+            ga_backend="python",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            request = CampaignRequest.from_dict(payload)
+        assert request.fingerprint() == GOLDEN_V1_FINGERPRINT
+
     def test_request_loader_ignores_unknown_keys_with_warning(self):
         payload = json.loads(GOLDEN_V1_JSON)
         payload["added_in_v3"] = {"x": 1}
@@ -260,24 +278,24 @@ class TestFrontierPointExtras:
 class TestProgrammaticFingerprint:
     def test_dcim_config_fingerprint_matches_pre_v2_layout(self):
         """run_campaign(store=...) fingerprints must not drift either."""
-        import dataclasses
-
         from repro.core.spec import DcimSpec
         from repro.service.campaign import _campaign_fingerprint
-        from repro.service.cache import stable_hash
 
         specs = [DcimSpec(wstore=4096, precision="INT8")]
-        config = CampaignConfig()
-        legacy_config = dataclasses.asdict(config)
-        del legacy_config["problem"]  # the pre-v2 config had no such key
-        # bit-parity knobs that never affect results stay out of the hash
-        del legacy_config["nsga2"]["backend"]
-        del legacy_config["exhaustive_threshold"]
-        del legacy_config["cache_flush_every"]
-        del legacy_config["cache_backend"]
-        assert _campaign_fingerprint(specs, config) == stable_hash(
-            {
-                "specs": [dataclasses.asdict(s) for s in specs],
-                "config": legacy_config,
-            }
+        assert (
+            _campaign_fingerprint(specs, CampaignConfig())
+            == DCIM_CAMPAIGN_FINGERPRINT
+        )
+
+    def test_mapping_config_fingerprint_is_pinned(self):
+        from repro.problems import get_problem
+        from repro.service.campaign import _campaign_fingerprint
+
+        definition = get_problem("mapping")
+        spec = definition.to_spec(
+            definition.parse_spec({"network": "tiny_cnn", "wstore": 4096})
+        )
+        assert (
+            _campaign_fingerprint([spec], CampaignConfig(problem="mapping"))
+            == MAPPING_CAMPAIGN_FINGERPRINT
         )

@@ -40,8 +40,6 @@ def done_payload(evaluations: int = 3) -> dict:
         "evaluations": evaluations,
         "generations_run": 4,
         "strategy": "ga",
-        "engine_backend": "python",
-        "ga_backend": "python",
         "cache_stats": None,
         "wall_time_s": 0.01,
     }

@@ -1,11 +1,14 @@
 """Batch cost engine: batch/scalar parity and front-end behaviour.
 
-The load-bearing guarantee of :mod:`repro.model.engine` is that every
-backend returns objective vectors *bit-identical* to the seed scalar
-path (``GenomeCodec.decode`` → ``DesignPoint.macro_cost`` →
+The load-bearing guarantee of :mod:`repro.model.engine` is that both
+of its evaluation paths return objective vectors *bit-identical* to the
+seed scalar path (``GenomeCodec.decode`` → ``DesignPoint.macro_cost`` →
 ``objectives_of``): persisted cache entries and per-seed NSGA-II
-trajectories must not move when the engine changes.  Every comparison
-here is exact equality on floats, never ``approx``.
+trajectories must not move when the engine changes.  The two paths are
+the vectorised numpy batch (``evaluate_batch``) and the memoised scalar
+path (``CostEngine.macro_costs``, which the mapping problem evaluates
+through).  Every comparison here is exact equality on floats, never
+``approx``.
 """
 
 import pickle
@@ -18,19 +21,14 @@ from hypothesis import strategies as st
 from repro.core.spec import DcimSpec
 from repro.dse.genome import GenomeCodec
 from repro.dse.problem import DcimProblem, objectives_of
-from repro.model.engine import (
-    CostEngine,
-    ENGINE_BACKENDS,
-    HAS_NUMPY,
-    resolve_backend,
-)
+from repro.model.engine import CostEngine
 from repro.tech.cells import CellLibrary
 
 LIB = CellLibrary.default()
 
-#: Backends available in this interpreter (numpy is baked in normally,
-#: but the suite must also pass on a numpy-less install).
-BACKENDS = ["python"] + (["numpy"] if HAS_NUMPY else [])
+#: The engine's evaluation paths: ``numpy`` is the vectorised batch,
+#: ``python`` the memoised scalar path.
+PATHS = ["python", "numpy"]
 
 PRECISIONS = ["INT2", "INT4", "INT8", "INT16", "FP8", "BF16", "FP16", "FP32"]
 
@@ -39,6 +37,14 @@ def scalar_objectives(problem, genomes):
     """The seed evaluation path, kept verbatim as the parity reference."""
     codec, lib = problem.codec, problem.library
     return [objectives_of(codec.decode(g).macro_cost(lib)) for g in genomes]
+
+
+def engine_objectives(problem, genomes, path):
+    """Objective rows for ``genomes`` through one engine path."""
+    if path == "numpy":
+        return problem.evaluate_batch(genomes)
+    points = problem.codec.decode_batch(genomes)
+    return [objectives_of(cost) for cost in problem.engine.macro_costs(points)]
 
 
 def make_spec(wstore, precision):
@@ -51,76 +57,51 @@ def make_spec(wstore, precision):
     return spec
 
 
-class TestResolveBackend:
-    def test_known_names(self):
-        assert set(ENGINE_BACKENDS) == {"auto", "numpy", "python"}
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("auto") in ("numpy", "python")
-
-    def test_auto_prefers_numpy_when_available(self):
-        if HAS_NUMPY:
-            assert resolve_backend("auto") == "numpy"
-        else:
-            assert resolve_backend("auto") == "python"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            resolve_backend("cuda")
-
-    @pytest.mark.skipif(HAS_NUMPY, reason="needs a numpy-less interpreter")
-    def test_forced_numpy_without_numpy_rejected(self):  # pragma: no cover
-        with pytest.raises(ValueError, match="not importable"):
-            resolve_backend("numpy")
-
-
 class TestBatchScalarParity:
     """The acceptance-criterion tests: exact equality with the seed path."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("precision", ["INT4", "INT8", "BF16", "FP16"])
-    def test_full_space_bit_identical(self, precision, backend):
-        problem = DcimProblem(
-            DcimSpec(wstore=4096, precision=precision), LIB, engine_backend=backend
-        )
+    def test_full_space_bit_identical(self, precision, path):
+        problem = DcimProblem(DcimSpec(wstore=4096, precision=precision), LIB)
         genomes = problem.codec.enumerate()
-        assert problem.evaluate_batch(genomes) == scalar_objectives(problem, genomes)
+        assert engine_objectives(problem, genomes, path) == scalar_objectives(
+            problem, genomes
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(
         wstore_exp=st.integers(min_value=9, max_value=18),
         precision=st.sampled_from(PRECISIONS),
-        backend=st.sampled_from(BACKENDS),
+        path=st.sampled_from(PATHS),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_random_specs_bit_identical(self, wstore_exp, precision, backend, seed):
+    def test_random_specs_bit_identical(self, wstore_exp, precision, path, seed):
         spec = make_spec(2**wstore_exp, precision)
         if spec is None:  # combination the exponent encoding rejects
             return
-        problem = DcimProblem(spec, LIB, engine_backend=backend)
+        problem = DcimProblem(spec, LIB)
         rng = random.Random(seed)
         genomes = [problem.sample(rng) for _ in range(12)]
-        assert problem.evaluate_batch(genomes) == scalar_objectives(problem, genomes)
+        assert engine_objectives(problem, genomes, path) == scalar_objectives(
+            problem, genomes
+        )
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy backend unavailable")
     @pytest.mark.parametrize("precision", ["INT8", "BF16"])
     def test_numpy_and_python_backends_agree(self, precision):
-        spec = DcimSpec(wstore=8192, precision=precision)
-        genomes = DcimProblem(spec, LIB).codec.enumerate()
-        results = {
-            backend: DcimProblem(
-                spec, LIB, engine_backend=backend
-            ).evaluate_batch(genomes)
-            for backend in ("numpy", "python")
-        }
-        assert results["numpy"] == results["python"]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scalar_evaluate_is_a_batch_of_one(self, backend):
-        problem = DcimProblem(
-            DcimSpec(wstore=4096, precision="INT8"), LIB, engine_backend=backend
+        problem = DcimProblem(DcimSpec(wstore=8192, precision=precision), LIB)
+        genomes = problem.codec.enumerate()
+        assert engine_objectives(problem, genomes, "numpy") == engine_objectives(
+            problem, genomes, "python"
         )
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_scalar_evaluate_is_a_batch_of_one(self, path):
+        problem = DcimProblem(DcimSpec(wstore=4096, precision="INT8"), LIB)
         for genome in problem.codec.enumerate()[:8]:
-            assert problem.evaluate(genome) == problem.evaluate_batch([genome])[0]
+            assert problem.evaluate(genome) == engine_objectives(
+                problem, [genome], path
+            )[0]
 
     def test_duplicate_genomes_keep_input_order(self):
         problem = DcimProblem(DcimSpec(wstore=4096, precision="INT8"), LIB)
@@ -131,18 +112,18 @@ class TestBatchScalarParity:
 
 
 class TestBatchCostColumns:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_columns_match_macro_cost(self, backend):
-        problem = DcimProblem(
-            DcimSpec(wstore=4096, precision="BF16"), LIB, engine_backend=backend
-        )
+    @pytest.mark.parametrize("path", PATHS)
+    def test_columns_match_macro_cost(self, path):
+        problem = DcimProblem(DcimSpec(wstore=4096, precision="BF16"), LIB)
         genomes = problem.codec.enumerate()[:16]
         points = problem.codec.decode_batch(genomes)
+        costs = [p.macro_cost(LIB) for p in points]
+        if path == "python":
+            assert problem.engine.macro_costs(points) == costs
+            return
         batch = problem.engine.evaluate_points(points)
-        assert batch.backend == backend
         assert batch.arch == "fp-prealign"
         assert len(batch) == len(points)
-        costs = [p.macro_cost(LIB) for p in points]
         assert batch.area == tuple(c.area for c in costs)
         assert batch.delay == tuple(c.delay for c in costs)
         assert batch.energy_per_pass == tuple(c.energy_per_pass for c in costs)
@@ -231,7 +212,7 @@ class TestDecodeBatch:
 
 class TestEngineLifecycle:
     def test_engine_survives_pickling(self):
-        """Process-pool executors ship the problem (and its engine)."""
+        """A problem (and its engine) round-trips through pickle."""
         problem = DcimProblem(DcimSpec(wstore=4096, precision="INT8"), LIB)
         genomes = problem.codec.enumerate()[:8]
         before = problem.evaluate_batch(genomes)
@@ -241,9 +222,3 @@ class TestEngineLifecycle:
     def test_problem_defaults_keep_equality_semantics(self):
         spec = DcimSpec(wstore=4096, precision="INT8")
         assert DcimProblem(spec, LIB) == DcimProblem(spec, LIB)
-
-    def test_invalid_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            DcimProblem(
-                DcimSpec(wstore=4096, precision="INT8"), LIB, engine_backend="gpu"
-            )

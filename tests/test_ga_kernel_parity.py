@@ -4,16 +4,18 @@ Three layers of evidence that vectorising the NSGA-II bookkeeping
 changed nothing:
 
 * a Hypothesis suite feeding adversarial objective matrices (ties,
-  duplicate rows, infinities, zero-range columns) through both kernel
-  backends and asserting bitwise-identical ranks, front orders and
-  crowding values;
+  duplicate rows, infinities, zero-range columns) through the numpy
+  kernels and the pure-Python reference, asserting bitwise-identical
+  ranks, front orders and crowding values;
 * golden result fingerprints of full ``nsga2()`` runs, captured from
-  the pre-kernel implementation and pinned for both backends;
+  the pre-kernel implementation and pinned for the numpy kernels and
+  for the reference swapped in;
 * strategy/bookkeeping coverage: exhaustive-vs-GA routing, response
   surfacing, and the run-registry schema migration.
 """
 
 import hashlib
+import importlib
 import math
 import random
 import sqlite3
@@ -24,21 +26,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.spec import DcimSpec
-from repro.dse.kernels import (
-    HAS_NUMPY,
-    KERNEL_BACKENDS,
-    GAKernels,
-    novel_genomes,
-    resolve_kernel_backend,
-    tournament_index,
-)
+from repro.dse.kernels import GAKernels, novel_genomes, tournament_index
 from repro.dse.kernels import python as py_kernels
 from repro.dse.nsga2 import NSGA2Config, nsga2
 from repro.dse.problem import DcimProblem
 
-pytestmark = pytest.mark.skipif(
-    not HAS_NUMPY, reason="parity needs both backends importable"
-)
+
+class ReferenceKernels(GAKernels):
+    """The facade driving the pure-Python reference kernels instead."""
+
+    _impl = py_kernels
+
+    def as_matrix(self, objectives):
+        return objectives
 
 
 def bits(values):
@@ -74,13 +74,14 @@ def objective_matrices(draw):
 
 
 class TestKernelParity:
-    """numpy and python kernels agree bit-for-bit on adversarial input."""
+    """numpy kernels and the python reference agree bit-for-bit on
+    adversarial input."""
 
     @settings(max_examples=200, deadline=None)
     @given(objectives=objective_matrices())
     def test_nondominated_sort_identical(self, objectives):
-        np_k = GAKernels("numpy")
-        py_k = GAKernels("python")
+        np_k = GAKernels()
+        py_k = ReferenceKernels()
         np_ranks, np_fronts = np_k.nondominated_sort(
             np_k.as_matrix(objectives)
         )
@@ -93,8 +94,8 @@ class TestKernelParity:
     @settings(max_examples=200, deadline=None)
     @given(objectives=objective_matrices())
     def test_crowding_identical(self, objectives):
-        np_k = GAKernels("numpy")
-        py_k = GAKernels("python")
+        np_k = GAKernels()
+        py_k = ReferenceKernels()
         _, fronts = py_k.nondominated_sort(objectives)
         for front in fronts:
             np_perm, np_dist = np_k.crowding(
@@ -107,8 +108,8 @@ class TestKernelParity:
     @settings(max_examples=200, deadline=None)
     @given(objectives=objective_matrices())
     def test_pareto_filter_identical(self, objectives):
-        np_k = GAKernels("numpy")
-        py_k = GAKernels("python")
+        np_k = GAKernels()
+        py_k = ReferenceKernels()
         assert np_k.pareto_filter(
             np_k.as_matrix(objectives)
         ) == py_k.pareto_filter(objectives)
@@ -118,8 +119,8 @@ class TestKernelParity:
     def test_tournament_selects_identical_indices(self, objectives, seed):
         if len(objectives) < 2:
             return
-        np_k = GAKernels("numpy")
-        py_k = GAKernels("python")
+        np_k = GAKernels()
+        py_k = ReferenceKernels()
         results = []
         for kernels in (np_k, py_k):
             matrix = kernels.as_matrix(objectives)
@@ -136,12 +137,11 @@ class TestKernelParity:
         assert results[0] == results[1]
 
     def test_zero_range_column_is_not_divided_by(self):
-        # A constant objective column has span 0; both backends must
-        # skip it instead of dividing (the reference skips before any
-        # division, so no inf/nan leaks in).
+        # A constant objective column has span 0; both implementations
+        # must skip it instead of dividing (the reference skips before
+        # any division, so no inf/nan leaks in).
         objectives = [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)]
-        for backend in ("numpy", "python"):
-            k = GAKernels(backend)
+        for k in (GAKernels(), ReferenceKernels()):
             perm, dist = k.crowding(
                 k.as_matrix(objectives), range(len(objectives))
             )
@@ -151,35 +151,17 @@ class TestKernelParity:
 
 
 class TestBackendSelection:
-    def test_auto_resolves_to_numpy_here(self):
-        assert resolve_kernel_backend("auto") == "numpy"
-        assert resolve_kernel_backend() == "numpy"
-
-    def test_explicit_backends_round_trip(self):
-        for backend in ("numpy", "python"):
-            assert resolve_kernel_backend(backend) == backend
-            assert GAKernels(backend).backend == backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown GA kernel backend"):
-            resolve_kernel_backend("fortran")
-        assert "fortran" not in KERNEL_BACKENDS
-
     def test_kernels_time_into_registry(self):
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        k = GAKernels("python", registry=registry)
-        k.nondominated_sort([(1.0, 2.0), (2.0, 1.0)])
-        k.crowding([(1.0, 2.0), (2.0, 1.0)], [0, 1])
+        k = GAKernels(registry=registry)
+        matrix = k.as_matrix([(1.0, 2.0), (2.0, 1.0)])
+        k.nondominated_sort(matrix)
+        k.crowding(matrix, [0, 1])
         sample = registry.sample_values()
-        assert (
-            sample['repro_ga_sort_seconds_count{backend="python"}'] == 1.0
-        )
-        assert (
-            sample['repro_ga_crowding_seconds_count{backend="python"}']
-            == 1.0
-        )
+        assert sample["repro_ga_sort_seconds_count"] == 1.0
+        assert sample["repro_ga_crowding_seconds_count"] == 1.0
 
 
 class TestNovelGenomes:
@@ -240,9 +222,9 @@ def result_fingerprint(result) -> str:
 
 
 # Captured by running the pre-kernel nsga2() implementation (the list
-# based one this PR replaced) on these exact problems and seeds.  Any
+# based one the kernels replaced) on these exact problems and seeds.  Any
 # drift here means per-seed results changed — a parity break, whichever
-# backend produced it.
+# kernels produced it.
 GOLDEN_GRID = {
     0: "554e2b806bf6c1a570e014bad71b4eec6951725b82d234191346410ee6d6b9f0",
     1: "a9be61e57b71bdbe05950a9d21f9b5db99b59e000661d54288b13fdac8f2b4b8",
@@ -257,7 +239,15 @@ GOLDEN_DCIM_64K_BF16_SEED5 = (
 )
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.fixture(params=["numpy", "python"])
+def backend(request, monkeypatch):
+    """Which kernels run: the numpy ones, or the python reference."""
+    if request.param == "python":
+        module = importlib.import_module("repro.dse.nsga2")
+        monkeypatch.setattr(module, "GAKernels", ReferenceKernels)
+    return request.param
+
+
 class TestGoldenFingerprints:
     """Full nsga2() runs are bit-identical to the pre-kernel code."""
 
@@ -269,7 +259,6 @@ class TestGoldenFingerprints:
                     population_size=16,
                     generations=10,
                     seed=seed,
-                    backend=backend,
                 ),
             )
             assert result_fingerprint(result) == golden, f"seed {seed}"
@@ -283,7 +272,6 @@ class TestGoldenFingerprints:
                     population_size=16,
                     generations=8,
                     seed=seed,
-                    backend=backend,
                 ),
             )
             assert result_fingerprint(result) == golden, f"seed {seed}"
@@ -292,9 +280,7 @@ class TestGoldenFingerprints:
         problem = DcimProblem(DcimSpec(wstore=65536, precision="BF16"))
         result = nsga2(
             problem,
-            NSGA2Config(
-                population_size=24, generations=12, seed=5, backend=backend
-            ),
+            NSGA2Config(population_size=24, generations=12, seed=5),
         )
         assert result_fingerprint(result) == GOLDEN_DCIM_64K_BF16_SEED5
 
@@ -353,10 +339,11 @@ class TestExhaustiveStrategy:
 
         result = run_campaign([self.SPEC], CampaignConfig())
         assert result.strategies == ("exhaustive",)
-        assert result.ga_backend == resolve_kernel_backend("auto")
         response = result.to_response()
         assert response.strategies == ("exhaustive",)
-        assert response.to_dict()["ga_backend"] == result.ga_backend
+        # Only one evaluation path exists, so no backend is reported.
+        assert "ga_backend" not in response.to_dict()
+        assert "engine_backend" not in response.to_dict()
 
     def test_exhaustive_never_beaten_by_ga(self):
         # The enumerated front is exact: no GA point may dominate it.
@@ -388,7 +375,6 @@ class TestRunStoreStrategyColumns:
             )
             record = store.get_run(result.run_id)
         assert record.strategy == "exhaustive"
-        assert record.ga_backend == resolve_kernel_backend("auto")
         assert "via exhaustive" in record.describe()
         assert record.to_dict()["strategy"] == "exhaustive"
 
@@ -412,5 +398,4 @@ class TestRunStoreStrategyColumns:
         with RunStore(path) as store:
             record = store.get_run(run_id)
             assert record.strategy is None
-            assert record.ga_backend is None
             assert "via" not in record.describe()

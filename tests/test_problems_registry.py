@@ -119,7 +119,7 @@ class TestRegistry:
             def parse_cli_spec(self, text):
                 return ToySpec(width=int(text))
 
-            def make_problem(self, spec, library=None, engine="auto"):
+            def make_problem(self, spec, library=None):
                 raise NotImplementedError
 
         ToyDefinition.name = name

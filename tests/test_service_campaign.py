@@ -8,7 +8,7 @@ from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.nsga2 import NSGA2Config
 from repro.service.cache import EvaluationCache
 from repro.service.campaign import CampaignConfig, run_campaign
-from repro.service.executor import ThreadPoolExecutor
+from repro.service.executor import SerialExecutor
 
 SPECS = [
     DcimSpec(wstore=4096, precision="INT4"),
@@ -66,53 +66,32 @@ class TestMergeCorrectness:
 
 
 class TestEngineSelection:
-    def test_engine_backends_bit_identical(self):
-        # The engine backend is a throughput knob only: per-seed runs
-        # and merged objective rows must not move.
-        results = {
-            engine: run_campaign(SPECS, small_config(engine=engine))
-            for engine in ("auto", "python")
-        }
-        auto, python = results["auto"], results["python"]
-        assert front_keys(auto) == front_keys(python)
-        assert auto.merged_objectives.tolist() == python.merged_objectives.tolist()
-        assert python.engine_backend == "python"
-        assert auto.engine_backend in ("numpy", "python")
-
     def test_chunked_executor_bit_identical(self):
         plain = run_campaign(SPECS, small_config())
         chunked = run_campaign(
-            SPECS, small_config(backend="thread", chunk_size=7)
+            SPECS, small_config(), executor=SerialExecutor(chunk_size=7)
         )
         assert front_keys(plain) == front_keys(chunked)
         assert plain.merged_objectives.tolist() == chunked.merged_objectives.tolist()
-
-    def test_config_validates_engine_and_chunk_size(self):
-        with pytest.raises(ValueError, match="engine"):
-            small_config(engine="gpu")
-        with pytest.raises(ValueError, match="chunk_size"):
-            small_config(chunk_size=0)
-
-    def test_response_reports_engine_backend(self):
-        result = run_campaign(SPECS, small_config(engine="python"))
-        assert result.to_response().engine_backend == "python"
 
 
 class TestSharding:
     def test_parallel_specs_match_sequential(self):
         sequential = run_campaign(SPECS, small_config(workers=1))
-        sharded = run_campaign(SPECS, small_config(workers=2, backend="thread"))
+        sharded = run_campaign(SPECS, small_config(workers=2))
         assert front_keys(sequential) == front_keys(sharded)
 
     def test_shared_executor_left_open(self):
-        with ThreadPoolExecutor(workers=2) as pool:
-            run_campaign(SPECS, small_config(), executor=pool)
-            # The caller-owned pool must still be usable afterwards.
-            from repro.dse.problem import DcimProblem
+        class ClosingSpy(SerialExecutor):
+            closed = False
 
-            problem = DcimProblem(SPECS[0])
-            genome = problem.codec.enumerate()[0]
-            assert pool.evaluate_batch(problem, [genome])
+            def close(self):
+                self.closed = True
+
+        executor = ClosingSpy()
+        run_campaign(SPECS, small_config(), executor=executor)
+        # A caller-owned executor is never closed by the campaign.
+        assert not executor.closed
 
     def test_rejects_empty_campaign(self):
         with pytest.raises(ValueError):
@@ -241,7 +220,7 @@ class TestObserverAndCancellation:
                 events.append(event)
 
         run_campaign(
-            SPECS, small_config(workers=2, backend="thread"), observer=observer
+            SPECS, small_config(workers=2), observer=observer
         )
         kinds = [e.kind for e in events]
         assert kinds.count(EventKind.GENERATION_DONE) == (

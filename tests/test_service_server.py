@@ -207,6 +207,39 @@ class TestHTTPServer:
                 {"problem": "mapping", "specs": [{"network": "nope"}]},
             )
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"population_size": 3},
+            {"generations": 0},
+            {"workers": 0},
+            {"seed": "x"},
+            {"seed": 1.5},
+        ],
+    )
+    def test_unrunnable_request_is_400_and_creates_no_job(
+        self, http_setup, bad
+    ):
+        import json as _json
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
+
+        client, queue = http_setup
+        jobs_before = len(queue.jobs())
+        body = {"specs": [{"wstore": 4096, "precision": "INT4"}], **bad}
+        request = Request(
+            f"{client.base_url}/api/campaigns",
+            data=_json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(HTTPError) as excinfo:
+            urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        envelope = _json.loads(excinfo.value.read().decode("utf-8"))
+        assert envelope["error"]["code"] == "invalid_request"
+        assert len(queue.jobs()) == jobs_before
+
     def test_mapping_campaign_over_http(self, http_setup):
         client, _ = http_setup
         request = CampaignRequest(

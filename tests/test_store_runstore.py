@@ -24,7 +24,6 @@ def response(*points, **overrides):
         evaluations=40,
         fresh_evaluations=10,
         wall_time_s=0.5,
-        engine_backend="numpy",
         cache_stats={"hits": 30, "misses": 10},
     )
     payload.update(overrides)
