@@ -66,9 +66,9 @@ def _interleaved_overhead(
 def test_instrumentation_overhead(record):
     problem = DcimProblem(DcimSpec(wstore=64 * 1024, precision="INT8"))
     genomes = problem.codec.enumerate()
-    # Small chunks maximise per-chunk instrument traffic; 32 is the
-    # finest granularity any real configuration runs at (serial default
-    # is one chunk per batch, pools aim at n / (4 * workers)).
+    # Small chunks maximise per-chunk instrument traffic; 32 is finer
+    # than any real configuration runs at (the serial default is one
+    # chunk per batch).
     chunk_size = 32
     executor = SerialExecutor(chunk_size=chunk_size)
 

@@ -10,7 +10,7 @@ from disk, so the run costs no model evaluations at all.
 The same campaign can be driven from the command line::
 
     repro campaign --spec 8192:INT8 --spec 8192:BF16 \
-        --cache build/evals.jsonl --workers 2
+        --cache build/evals.jsonl
 
 For the progress-aware serving layer on top of this queue — streaming
 generation-by-generation events and cancelling campaigns mid-flight,
@@ -44,7 +44,6 @@ def main(cache_path: str = "build/campaign_evals.jsonl") -> None:
     config = CampaignConfig(
         nsga2=NSGA2Config(population_size=32, generations=20),
         seed=0,
-        workers=2,
     )
 
     for label in ("cold", "warm"):

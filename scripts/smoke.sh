@@ -43,16 +43,13 @@ python -m pytest benchmarks/test_cache_pipeline.py -q
 
 workdir="$(mktemp -d)"
 server_pid=""
-worker_pids=()
 cleanup() {
     [[ -n "$server_pid" ]] && kill "$server_pid" 2>/dev/null || true
-    for pid in "${worker_pids[@]}"; do kill "$pid" 2>/dev/null || true; done
     rm -rf "$workdir"
 }
 trap cleanup EXIT
 
-# Block until a serving coordinator answers GET /api/healthz — the same
-# readiness handshake 'repro worker' runs before registering.
+# Block until a campaign server answers GET /api/healthz.
 wait_healthy() {
     python - "$1" <<'PY'
 import sys
@@ -419,76 +416,4 @@ fi
 python -m repro runs gate rerun --baseline main --store "$store" >/dev/null
 python -m repro runs gc --store "$store" --keep 2 >/dev/null
 
-echo "== distributed: coordinator + 2 workers, parity + shared cache =="
-dist_log="$workdir/serve_dist.log"
-python -m repro serve --host 127.0.0.1 --port 0 \
-    --workers-remote --lease-ttl 10 >"$dist_log" 2>&1 &
-server_pid=$!
-url=""
-for _ in $(seq 100); do
-    url="$(sed -n 's|serving campaigns on \(http://[^ ]*\).*|\1|p' "$dist_log")"
-    [[ -n "$url" ]] && break
-    sleep 0.1
-done
-if [[ -z "$url" ]]; then
-    echo "smoke: distributed coordinator did not come up" >&2
-    cat "$dist_log" >&2
-    exit 1
-fi
-wait_healthy "$url"
-for _ in 1 2; do
-    python -m repro worker --url "$url" --poll 0.05 --exit-idle 30 \
-        >/dev/null 2>&1 &
-    worker_pids+=($!)
-done
-python - "$url" <<'PY'
-import sys
-
-from repro.service import (
-    CampaignClient,
-    CampaignRequest,
-    EvaluationCache,
-    SpecRequest,
-    execute_request,
-)
-
-
-def run(client, request):
-    job_id = client.submit(request)
-    for _ in client.watch(job_id):
-        pass
-    return client.result(job_id)
-
-
-client = CampaignClient(sys.argv[1], retries=4)
-request = CampaignRequest(
-    specs=(SpecRequest(4096, "INT4"), SpecRequest(8192, "INT8")),
-    population_size=16, generations=6, seed=3, exhaustive_threshold=0,
-)
-response = run(client, request)
-reference = execute_request(request, cache=EvaluationCache())
-assert [p.to_dict() for p in response.frontier] == [
-    p.to_dict() for p in reference.frontier
-], "distributed front is not bit-identical to the in-process run"
-workers = client.workers()
-assert len(workers) == 2, f"expected 2 registered workers, got {workers}"
-assert client.cache_info()["entries"] == response.fresh_evaluations > 0
-
-# Cross-worker dedup: a distinct campaign over the same design space
-# must be served entirely from the shared remote cache.
-warm = run(client, CampaignRequest(
-    specs=(SpecRequest(4096, "INT4"), SpecRequest(8192, "INT8")),
-    population_size=16, generations=6, seed=3, workers=3,
-    exhaustive_threshold=0,
-))
-assert warm.fresh_evaluations == 0, (
-    f"warm distributed run re-evaluated {warm.fresh_evaluations} genomes"
-)
-print(f"distributed parity: {len(response.frontier)} frontier points via "
-      f"{len(workers)} workers; warm re-run 100% cache hits")
-PY
-for pid in "${worker_pids[@]}"; do kill "$pid" 2>/dev/null || true; done
-worker_pids=()
-kill "$server_pid" && wait "$server_pid" 2>/dev/null || true
-server_pid=""
 echo "smoke: OK"

@@ -175,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="enumerate design spaces of up to N "
                                "genomes instead of running the GA "
                                "(0 always runs the GA; default 512)")
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="specs explored concurrently")
     campaign.add_argument("--cache", default=None, metavar="PATH",
                           help="persistent evaluation cache "
                                "(.jsonl or .sqlite; omit for in-memory)")
@@ -272,51 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "is >= S seconds, even when sampled out")
     serve_p.add_argument("--no-trace", action="store_true",
                          help="disable request/campaign tracing")
-    serve_p.add_argument("--workers-remote", action="store_true",
-                         help="distributed mode: campaigns shard into "
-                              "leasable work units drained by external "
-                              "'repro worker' processes instead of "
-                              "running in-process")
-    serve_p.add_argument("--lease-ttl", type=float, default=None,
-                         metavar="S",
-                         help="with --workers-remote: work-unit lease "
-                              "TTL; a unit whose worker stops "
-                              "heartbeating for S seconds is requeued "
-                              "(default 30)")
-    serve_p.add_argument("--unit-attempts", type=int, default=None,
-                         metavar="N",
-                         help="with --workers-remote: lease a unit at "
-                              "most N times before failing the "
-                              "campaign (default 3)")
-
-    worker_p = sub.add_parser(
-        "worker",
-        help="connect to a 'repro serve --workers-remote' coordinator "
-             "and evaluate leased work units",
-    )
-    worker_p.add_argument("--url", default="http://127.0.0.1:8000",
-                          help="coordinator base URL")
-    worker_p.add_argument("--cache", default="remote", metavar="SPEC",
-                          help="evaluation cache: 'remote' (default; "
-                               "share the coordinator's dedup layer "
-                               "over /api/cache), 'memory', 'none', or "
-                               "a local cache file path")
-    worker_p.add_argument("--worker-id", default=None, metavar="ID",
-                          help="stable worker identity (default: "
-                               "coordinator-assigned)")
-    worker_p.add_argument("--poll", type=float, default=0.5, metavar="S",
-                          help="idle sleep between lease attempts")
-    worker_p.add_argument("--max-units", type=int, default=None,
-                          metavar="N",
-                          help="exit after completing N units")
-    worker_p.add_argument("--exit-idle", type=float, default=None,
-                          metavar="S",
-                          help="exit after S seconds without leasing a "
-                               "unit (default: run until interrupted)")
-    worker_p.add_argument("--log-level", default="warning",
-                          choices=["debug", "info", "warning", "error"],
-                          help="structured JSON-lines log level on stderr")
-
     dashboard_p = sub.add_parser(
         "dashboard",
         help="render a static HTML operations dashboard from a run "
@@ -357,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="NSGA-II generations (default: the "
                                "problem's own)")
     submit_p.add_argument("--seed", type=int, default=0, help="base GA seed")
-    submit_p.add_argument("--workers", type=int, default=1,
-                          help="specs explored concurrently")
     submit_p.add_argument("--exhaustive-threshold", type=int, default=None,
                           metavar="N",
                           help="enumerate design spaces of up to N "
@@ -866,7 +817,6 @@ def _cmd_campaign(args) -> int:
                 generations=generations,
             ),
             seed=args.seed,
-            workers=args.workers,
             problem=args.problem,
             cache_flush_every=args.cache_flush_every,
             **threshold,
@@ -1050,22 +1000,6 @@ def _cmd_serve(args) -> int:
     # The campaign/cache/executor layers trace through the process
     # global; the server additionally serves /api/traces from it.
     obs.set_tracer(tracer)
-    coordinator = None
-    if args.workers_remote:
-        from repro.service.distributed import WorkCoordinator
-
-        coordinator = WorkCoordinator(
-            lease_ttl_s=(
-                args.lease_ttl if args.lease_ttl is not None else 30.0
-            ),
-            max_attempts=(
-                args.unit_attempts if args.unit_attempts is not None else 3
-            ),
-        )
-    elif args.lease_ttl is not None or args.unit_attempts is not None:
-        print("error: --lease-ttl/--unit-attempts need --workers-remote",
-              file=sys.stderr)
-        return 1
     server = serve(
         host=args.host,
         port=args.port,
@@ -1077,7 +1011,6 @@ def _cmd_serve(args) -> int:
         verbose=args.verbose,
         admission=admission,
         tracer=tracer,
-        coordinator=coordinator,
     )
     snapshotter = None
     if args.snapshot_every is not None:
@@ -1088,12 +1021,8 @@ def _cmd_serve(args) -> int:
     # The bound port matters when --port 0 asked for an ephemeral one;
     # scripts parse this line (see scripts/smoke.sh).
     registry = f", registry {args.store}" if store is not None else ""
-    pool = (
-        "remote workers" if coordinator is not None
-        else f"{args.workers} workers"
-    )
     print(f"serving campaigns on {server.url} "
-          f"({pool}, cache {cache.backend}{registry})",
+          f"({args.workers} workers, cache {cache.backend}{registry})",
           flush=True)
     try:
         server.serve_forever()
@@ -1107,37 +1036,6 @@ def _cmd_serve(args) -> int:
         cache.close()
         if store is not None:
             store.close()
-    return 0
-
-
-def _cmd_worker(args) -> int:
-    from repro import obs
-    from repro.service.worker import CampaignWorker, worker_cache
-
-    obs.configure(level=args.log_level)
-    try:
-        cache = worker_cache(args.cache, args.url)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    worker = CampaignWorker(
-        args.url,
-        cache=cache,
-        worker_id=args.worker_id,
-        poll_s=args.poll,
-        max_units=args.max_units,
-        exit_idle_s=args.exit_idle,
-    )
-    try:
-        worker.run()
-    except KeyboardInterrupt:
-        worker.stop()
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if cache is not None:
-            cache.close()
     return 0
 
 
@@ -1176,7 +1074,6 @@ def _build_submit_request(args):
         population_size=population,
         generations=generations,
         seed=args.seed,
-        workers=args.workers,
         problem=args.problem,
         exhaustive_threshold=args.exhaustive_threshold,
     )
@@ -1558,8 +1455,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_cache(args)
     if args.command == "campaign":
         return _cmd_campaign(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "dashboard":

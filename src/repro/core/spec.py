@@ -12,7 +12,8 @@ its own estimation model and physical metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 from repro.core.precision import Precision, parse_precision
 from repro.model.floating import fp_macro_cost, fp_weights_stored, validate_fp_params
@@ -53,6 +54,12 @@ class DcimSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "precision", parse_precision(self.precision))
+        for name in ("wstore", "max_l", "max_h", "min_n_factor", "max_n"):
+            value = getattr(self, name)
+            if value is None and name == "max_n":
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.wstore < 1:
             raise ValueError(f"wstore must be >= 1, got {self.wstore}")
         if self.max_l < 1 or self.max_h < 1 or self.min_n_factor < 0:

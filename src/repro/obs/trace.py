@@ -19,8 +19,8 @@ I/O.  This module gives all those layers one request identity:
   flow automatically: new threads and GA observer callbacks,
 * **W3C trace context**: :func:`format_traceparent` /
   :func:`parse_traceparent` implement the ``traceparent`` header, so
-  :class:`~repro.service.server.CampaignClient` joins the server's
-  trace today and remote workers can join a coordinator's tomorrow.
+  a :class:`~repro.service.server.CampaignClient` call joins the
+  server's request trace.
 
 Sampling and retention
 ----------------------

@@ -293,34 +293,6 @@ def _runs_table(runs) -> str:
     )
 
 
-def _workers_table(store) -> str:
-    """Per-worker totals across recorded distributed runs."""
-    try:
-        workers = store.worker_summary()
-    except Exception:  # store predates the work_units table
-        workers = []
-    if not workers:
-        return (
-            '<div class="placeholder">no distributed runs recorded yet — '
-            "serve with <code>--workers-remote</code> and connect "
-            "<code>repro worker</code> processes</div>"
-        )
-    rows = "".join(
-        f"<tr><td><code>{html.escape(str(w['worker_id']))}</code></td>"
-        f'<td class="num">{w["units"]}</td>'
-        f'<td class="num">{w["units_done"]}</td>'
-        f'<td class="num">{_format_value(float(w["evaluations"]))}</td>'
-        f'<td class="num">{w["wall_time_s"]:.2f}</td></tr>'
-        for w in workers
-    )
-    return (
-        "<table><thead><tr><th>worker</th>"
-        '<th class="num">units</th><th class="num">done</th>'
-        '<th class="num">evals</th><th class="num">wall (s)</th>'
-        f"</tr></thead><tbody>{rows}</tbody></table>"
-    )
-
-
 def _snapshot_table(snapshots, limit: int = 10) -> str:
     """Table view of the charted history (accessibility fallback)."""
     if not snapshots:
@@ -620,8 +592,6 @@ def render_dashboard(
 {_latency_table(runs)}
 <h2>Recent runs</h2>
 {_runs_table(runs[:runs_limit])}
-<h2>Distributed workers</h2>
-{_workers_table(store)}
 <h2>Slowest traces</h2>
 {_traces_section(store, traces_limit)}
 <h2>Recent snapshots</h2>

@@ -9,8 +9,8 @@ MOGA explorer into shared infrastructure:
   cache-aware per-problem evaluator behind one ``evaluate_batch``
   interface,
 * :mod:`repro.service.campaign` — multi-spec campaign runner that
-  shards specs across workers and merges fronts into one
-  cross-architecture frontier,
+  explores the specs one after another in the calling thread and
+  merges their fronts into one cross-architecture frontier,
 * :mod:`repro.service.jobs` — job queue / background-worker scheduler
   with request deduplication, per-job status/result records, streaming
   progress events and cooperative cancellation,
@@ -19,13 +19,6 @@ MOGA explorer into shared infrastructure:
 * :mod:`repro.service.server` — asyncio front-end
   (:class:`~repro.service.server.AsyncCampaignService`) plus a
   stdlib-only HTTP/JSON server and client,
-* :mod:`repro.service.distributed` — coordinator that shards campaigns
-  into leasable per-spec work units (TTL leases, heartbeats, bounded
-  retry, idempotent result submission),
-* :mod:`repro.service.worker` — the ``repro worker`` loop that leases,
-  evaluates and submits units over the HTTP protocol,
-* :mod:`repro.service.cache_backends` — pluggable storage backends for
-  the evaluation cache (memory/JSONL/SQLite/remote-over-HTTP),
 * :mod:`repro.service.api` — typed, JSON round-trippable
   request/response records.
 """
@@ -47,7 +40,6 @@ from repro.service.cache import (
     evaluation_key,
     stable_hash,
 )
-from repro.service.cache_backends import RemoteCacheBackend, make_cache
 from repro.service.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -65,7 +57,6 @@ from repro.service.executor import (
     ProblemEvaluator,
     SerialExecutor,
 )
-from repro.service.distributed import DistributedRunner, WorkCoordinator
 from repro.service.jobs import JobQueue, JobRecord, JobStatus
 from repro.service.server import (
     AsyncCampaignService,
@@ -73,7 +64,6 @@ from repro.service.server import (
     CampaignHTTPServer,
     serve,
 )
-from repro.service.worker import CampaignWorker, worker_cache
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -91,14 +81,8 @@ __all__ = [
     "JsonlCacheBackend",
     "MemoryCacheBackend",
     "SqliteCacheBackend",
-    "RemoteCacheBackend",
-    "make_cache",
     "evaluation_key",
     "stable_hash",
-    "WorkCoordinator",
-    "DistributedRunner",
-    "CampaignWorker",
-    "worker_cache",
     "BatchExecutor",
     "SerialExecutor",
     "ProblemEvaluator",

@@ -52,7 +52,12 @@ SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 #: the records, yet fingerprints still hash these values (keeping every
 #: existing hash valid) and loaders drop the keys, together with the
 #: never-hashed ``ga_backend``, without an unknown-key warning.
-RETIRED_DEFAULTS = {"backend": "serial", "chunk_size": None, "engine": "auto"}
+RETIRED_DEFAULTS = {
+    "backend": "serial",
+    "chunk_size": None,
+    "engine": "auto",
+    "workers": 1,
+}
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,6 @@ class CampaignRequest:
             one ``GET /api/problems`` advertises) at construction, so
             a stored request always carries concrete numbers.
         seed: base GA seed; spec ``i`` runs with ``seed + i``.
-        workers: campaign-level parallelism (specs explored at once).
         exhaustive_threshold: largest enumerable design space explored
             exhaustively instead of via the GA; ``0`` forces the GA
             everywhere, omitted/``None`` resolves to the library
@@ -128,7 +132,6 @@ class CampaignRequest:
     population_size: int | None = None
     generations: int | None = None
     seed: int = 0
-    workers: int = 1
     exhaustive_threshold: int | None = None
     schema_version: int = SCHEMA_VERSION
     problem: str = DEFAULT_PROBLEM
@@ -171,8 +174,7 @@ class CampaignRequest:
         # instead of queueing a job that fails (or, for a non-integer
         # seed on an enumerable space, silently succeeds).
         for name in (
-            "population_size", "generations", "seed", "workers",
-            "exhaustive_threshold",
+            "population_size", "generations", "seed", "exhaustive_threshold"
         ):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -180,8 +182,6 @@ class CampaignRequest:
         NSGA2Config(
             population_size=self.population_size, generations=self.generations
         )
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.exhaustive_threshold < 0:
             raise ValueError("exhaustive_threshold must be >= 0")
         # Tolerate lists and raw dicts from JSON callers; the problem's

@@ -21,15 +21,15 @@ disk tier in one round trip (a chunked ``SELECT ... WHERE key IN``
 plus an ``executemany`` transaction for SQLite, one buffered
 multi-line append for JSONL) instead of N per-genome queries and N
 commits.  The SQLite tier runs in WAL journal mode with a busy
-timeout, so concurrent worker processes can share one cache file.  An
+timeout, so concurrent processes can share one cache file.  An
 optional write-behind buffer (``flush_every``) coalesces misses into
 one disk transaction per flush window; it is off by default and
 flushed on :meth:`~EvaluationCache.flush`, on close, and whenever the
 :meth:`~EvaluationCache.write_behind` context exits — including on
 campaign failure or cancellation.
 
-All public operations are thread-safe; campaign workers share one
-cache instance.
+All public operations are thread-safe; the job queue's worker threads
+share one cache instance.
 """
 
 from __future__ import annotations
@@ -205,13 +205,11 @@ class CacheStats:
 class CacheBackend(Protocol):
     """Pluggable persistent tier behind :class:`EvaluationCache`.
 
-    Implementations store ``key -> objectives`` pairs durably (or
-    remotely) and are **batch-first**: :meth:`get_many`/:meth:`put_many`
-    move a whole generation in one round trip.  The built-ins are
-    :class:`JsonlCacheBackend`, :class:`SqliteCacheBackend`,
-    :class:`MemoryCacheBackend`, and the HTTP-speaking
-    :class:`~repro.service.cache_backends.RemoteCacheBackend` that lets
-    N worker processes share one dedup layer.  Pass an instance as
+    Implementations store ``key -> objectives`` pairs durably and are
+    **batch-first**: :meth:`get_many`/:meth:`put_many` move a whole
+    generation in one round trip.  The built-ins are
+    :class:`JsonlCacheBackend`, :class:`SqliteCacheBackend` and
+    :class:`MemoryCacheBackend`.  Pass an instance as
     ``EvaluationCache(backend=...)`` to front it with the memory LRU.
     """
 
@@ -239,8 +237,7 @@ class MemoryCacheBackend:
     """Dict-backed :class:`CacheBackend` (no persistence).
 
     Useful for tests and for processes that want the backend interface
-    without a file — e.g. a coordinator serving ``/api/cache`` from
-    RAM.  Unlike the memory *tier* of :class:`EvaluationCache`, this
+    without a file.  Unlike the memory *tier* of :class:`EvaluationCache`, this
     store is unbounded and never evicts.
     """
 
@@ -382,7 +379,7 @@ class _SqliteStore:
     """SQLite disk tier: one ``evaluations(key, objectives)`` table.
 
     Runs in WAL journal mode with a generous busy timeout so several
-    worker processes can ``put_many`` into one cache file concurrently:
+    processes can ``put_many`` into one cache file concurrently:
     readers never block the writer, and a second writer waits for the
     lock instead of failing with ``database is locked``.  A whole
     batch is one ``executemany`` inside a single transaction — one
@@ -482,10 +479,8 @@ class EvaluationCache:
         path: disk-tier location.  ``None`` keeps the cache memory-only
             (unless a backend *instance* is passed).
         backend: ``"jsonl"`` (append log) or ``"sqlite"``, or a
-            :class:`CacheBackend` *instance* to plug in directly (e.g.
-            a :class:`~repro.service.cache_backends.RemoteCacheBackend`
-            sharing a server-side dedup layer; ``path`` must be omitted
-            then).  A string backend is ignored for memory-only caches
+            :class:`CacheBackend` *instance* to plug in directly
+            (``path`` must be omitted then).  A string backend is ignored for memory-only caches
             and defaults to guessing from the path suffix
             (``.sqlite``/``.db`` -> sqlite, else jsonl).
         max_memory_entries: LRU capacity of the memory tier.

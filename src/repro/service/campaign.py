@@ -7,14 +7,13 @@ All runs share one :class:`~repro.service.cache.EvaluationCache` and one
 batch executor, so overlapping design spaces are evaluated once no
 matter how many specs (or repeated campaigns) touch them.
 
-Spec-level sharding uses threads: each worker thread drives its own
-NSGA-II run while the genome-level batches go through the shared
-executor underneath.
+A campaign runs in the calling thread: the specs are explored one after
+another, each through its own NSGA-II run (or exhaustive enumeration),
+and the genome-level batches go through the shared executor underneath.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import time
@@ -67,7 +66,6 @@ class CampaignConfig:
         nsga2: GA hyper-parameters shared by every spec.
         seed: base seed; spec ``i`` explores with ``seed + i`` so runs
             are reproducible yet decorrelated.
-        workers: how many specs are explored concurrently.
         problem: :mod:`repro.problems` registry name; every spec of the
             campaign is explored through that entry's problem factory.
         exhaustive_threshold: largest enumerable design space that is
@@ -81,29 +79,15 @@ class CampaignConfig:
             cancellation).  ``None``/``0`` (default) keeps the cache's
             own write policy.  Pure I/O scheduling: never changes
             results, never enters the campaign fingerprint.
-        cache_backend: cache spec string used to *build* the campaign's
-            evaluation cache when :func:`run_campaign` is not handed a
-            cache instance — ``"memory"``, a cache file path, or
-            ``"remote:http://host:port"`` for a coordinator's shared
-            dedup layer (see
-            :func:`~repro.service.cache_backends.make_cache`).
-            ``None`` (default) keeps the campaign uncached unless a
-            cache is passed in.  Caching is pure dedup — it never
-            changes results — so this stays out of the campaign
-            fingerprint unconditionally.
     """
 
     nsga2: NSGA2Config = field(default_factory=NSGA2Config)
     seed: int = 0
-    workers: int = 1
     problem: str = DEFAULT_PROBLEM
     exhaustive_threshold: int | None = DEFAULT_EXHAUSTIVE_THRESHOLD
     cache_flush_every: int | None = None
-    cache_backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.cache_flush_every is not None and self.cache_flush_every < 0:
             raise ValueError("cache_flush_every must be >= 0 when given")
         if self.exhaustive_threshold is not None and self.exhaustive_threshold < 0:
@@ -199,8 +183,8 @@ def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
     (:data:`~repro.service.api.RETIRED_DEFAULTS`), and the exhaustive
     threshold only hashes when it differs from the default — so rows
     recorded before and after these knobs keep matching.
-    ``cache_flush_every`` and ``cache_backend`` are pure I/O/dedup
-    plumbing and stay out unconditionally.
+    ``cache_flush_every`` is pure I/O plumbing and stays out
+    unconditionally.
     """
     from repro.service.cache import stable_hash
 
@@ -209,7 +193,6 @@ def _campaign_fingerprint(specs: list, config: CampaignConfig) -> str:
     if config.problem == DEFAULT_PROBLEM:
         del config_payload["problem"]
     del config_payload["cache_flush_every"]
-    del config_payload["cache_backend"]
     if config.exhaustive_threshold == DEFAULT_EXHAUSTIVE_THRESHOLD:
         del config_payload["exhaustive_threshold"]
     return stable_hash(
@@ -231,7 +214,7 @@ def run_campaign(
     store=None,
     run_name: str | None = None,
 ) -> CampaignResult:
-    """Explore ``specs`` concurrently and merge their Pareto fronts.
+    """Explore ``specs`` one after another and merge their Pareto fronts.
 
     Args:
         specs: the specifications to explore (one GA run each) —
@@ -249,11 +232,9 @@ def run_campaign(
             reuse).
         observer: called with a :class:`~repro.service.events.
             CampaignEvent` as the campaign progresses (spec started /
-            generation done / spec done / campaign done).  With
-            ``workers > 1`` events arrive from several threads, so the
-            observer must be thread-safe.  Attaching one never changes
-            the result: observers fire between generations, outside all
-            rng draws.
+            generation done / spec done / campaign done).  Attaching
+            one never changes the result: observers fire between
+            generations, outside all rng draws.
         should_stop: cooperative cancellation hook, polled before each
             spec and between GA generations.  Once it returns True the
             in-flight GA runs stop at their next generation boundary and
@@ -272,11 +253,6 @@ def run_campaign(
         raise ValueError("a campaign needs at least one spec")
     config = config or CampaignConfig()
     library = library or CellLibrary.default()
-    own_cache = cache is None and config.cache_backend is not None
-    if own_cache:
-        from repro.service.cache_backends import make_cache
-
-        cache = make_cache(config.cache_backend)
     definition = get_problem(config.problem)
     executor = executor or SerialExecutor()
     explorer = DesignSpaceExplorer(
@@ -301,7 +277,6 @@ def run_campaign(
         attributes={
             "problem": config.problem,
             "specs": len(specs),
-            "workers": config.workers,
         },
         root_if_orphan=True,
         category="campaign",
@@ -503,13 +478,6 @@ def run_campaign(
         )
         return result
 
-    def explore_in_worker(i: int, spec: DcimSpec) -> ExplorationResult | None:
-        # contextvars do not follow threads: spec worker threads start
-        # from an empty context, so the campaign span is re-activated
-        # explicitly on each side of the pool boundary.
-        with use_span(campaign_span):
-            return explore_one(i, spec)
-
     started = time.perf_counter()
     try:
         with contextlib.ExitStack() as stack:
@@ -522,26 +490,13 @@ def run_campaign(
                 stack.enter_context(
                     cache.write_behind(config.cache_flush_every)
                 )
-            if config.workers == 1 or len(specs) == 1:
-                with use_span(campaign_span):
-                    maybe_results = [
-                        explore_one(i, spec) for i, spec in enumerate(specs)
-                    ]
-            else:
-                with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=min(config.workers, len(specs))
-                ) as pool:
-                    futures = [
-                        pool.submit(explore_in_worker, i, spec)
-                        for i, spec in enumerate(specs)
-                    ]
-                    maybe_results = [f.result() for f in futures]
+            with use_span(campaign_span):
+                maybe_results = [
+                    explore_one(i, spec) for i, spec in enumerate(specs)
+                ]
     except BaseException as exc:
         campaign_span.end(status="error", error=f"{type(exc).__name__}: {exc}")
         raise
-    finally:
-        if own_cache:
-            cache.close()
     wall_time = time.perf_counter() - started
 
     labels = [definition.spec_label(spec) for spec in specs]
@@ -667,7 +622,6 @@ def execute_request(
             generations=request.generations,
         ),
         seed=request.seed,
-        workers=request.workers,
         problem=request.problem,
         exhaustive_threshold=request.exhaustive_threshold,
     )

@@ -154,8 +154,9 @@ class CampaignEvent:
         return f"campaign cancelled: {self.message or 'stop requested'}"
 
 
-#: Campaign-level progress callback.  May be invoked from several worker
-#: threads at once, so implementations must be thread-safe
+#: Campaign-level progress callback, invoked from the thread that runs
+#: the campaign.  One shared by concurrently running campaigns (the job
+#: queue's worker threads) must be thread-safe
 #: (:meth:`EventBuffer.append` is).
 CampaignObserver = Callable[[CampaignEvent], None]
 

@@ -228,15 +228,10 @@ class JobQueue:
         store=None,
         registry: MetricsRegistry | None = None,
         logger: JsonLogger | None = None,
-        on_recorded=None,
     ) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.store = store
-        #: ``(job) -> None`` hook fired after a job's outcome lands in
-        #: the run registry (``job.run_id`` is set by then) — the serve
-        #: layer uses it to flush per-unit worker rows for the run.
-        self.on_recorded = on_recorded
         self._log = logger if logger is not None else get_logger("repro.jobs")
         if runner is None:
             def runner(request, observer=None, should_stop=None):
@@ -626,13 +621,6 @@ class JobQueue:
         except Exception:  # recording must never take the queue down
             with self._lock:
                 self.stats.record_errors += 1
-            return
-        if self.on_recorded is not None:
-            try:
-                self.on_recorded(job)
-            except Exception:  # same contract as recording itself
-                with self._lock:
-                    self.stats.record_errors += 1
 
     def _execute(self, job: JobRecord) -> None:
         """Run one RUNNING job to a terminal state (no lock held)."""

@@ -37,23 +37,6 @@ dedup layer):
       GET  /api/healthz                   readiness (version, uptime,
                                           queue depth, worker counts)
 
-  Started with a :class:`~repro.service.distributed.WorkCoordinator`
-  (``repro serve --workers-remote``), the distributed-execution
-  protocol mounts alongside::
-
-      POST /api/workers                   worker handshake/registration
-      GET  /api/workers                   workers table
-      POST /api/workers/<id>/heartbeat    renew leases, learn lost units
-      POST /api/units/lease               lease the next work unit
-      POST /api/units/<id>/result         submit a unit outcome
-                                          (idempotent on the unit id)
-
-  and with a shared ``cache``, the batched remote-cache envelope::
-
-      GET  /api/cache                     cache info
-      POST /api/cache/get_many            {"keys": [...]}
-      POST /api/cache/put_many            {"entries": {key: [objs]}}
-
   The ``/api/runs`` family answers 404 unless the server was given a
   :class:`~repro.store.runstore.RunStore` (the same instance the queue
   records into).  Every non-2xx answer carries a structured JSON error
@@ -346,19 +329,14 @@ class _CampaignHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         self._dispatch("POST")
 
-    #: Paths that never start a request span: health probes, scrape /
-    #: trace-inspection endpoints, and the distributed-protocol polling
-    #: traffic (lease/heartbeat/cache batches fire continuously) would
-    #: otherwise flood the trace ring.  Unit evaluations are traced
-    #: through the coordinator's ``unit.evaluate`` spans instead.
+    #: Paths that never start a request span: health probes and the
+    #: scrape / trace-inspection endpoints would otherwise flood the
+    #: trace ring.
     _UNTRACED_PREFIXES = (
         "/healthz",
         "/metrics",
         "/api/healthz",
         "/api/traces",
-        "/api/workers",
-        "/api/units",
-        "/api/cache",
     )
 
     def _dispatch(self, method: str) -> None:
@@ -433,12 +411,6 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         if method == "GET" and parts == ["api", "healthz"]:
             self._route_template = "/api/healthz"
             return self._healthz(), 200
-        if parts[:2] == ["api", "workers"]:
-            return self._workers_route(method, parts[2:], url)
-        if parts[:2] == ["api", "units"]:
-            return self._units_route(method, parts[2:], url)
-        if parts[:2] == ["api", "cache"]:
-            return self._cache_route(method, parts[2:], url)
         if method == "GET" and parts == ["metrics"]:
             self._route_template = "/metrics"
             text = self.server.registry.render_prometheus()
@@ -694,134 +666,22 @@ class _CampaignHandler(BaseHTTPRequestHandler):
             "done": done,
         }
 
-    # Distributed execution ------------------------------------------------
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise _ApiError(
-                400, f"request body is not valid JSON: {exc}", "invalid_json"
-            ) from None
-        if not isinstance(payload, dict):
-            raise _ApiError(400, "request body must be a JSON object")
-        return payload
-
     def _healthz(self) -> dict:
         """Readiness: version, uptime, queue depth, worker counts.
 
-        The worker handshake and smoke scripts poll this instead of
-        sleeping; unlike ``/healthz`` it only answers once the queue is
-        actually constructed and serving.
+        Smoke and benchmark scripts poll this instead of sleeping;
+        unlike ``/healthz`` it only answers once the queue is actually
+        constructed and serving.
         """
         import repro
 
-        payload = {
+        return {
             "status": "ok",
             "version": repro.__version__,
             "uptime_s": round(time.monotonic() - self.server.started_at, 3),
             "queue_depth": self.server.queue.pending_count(),
             "workers": self.server.queue.stats.workers,
         }
-        coordinator = self.server.coordinator
-        if coordinator is not None:
-            payload["distributed"] = coordinator.stats()
-        return payload
-
-    def _coordinator(self):
-        coordinator = self.server.coordinator
-        if coordinator is None:
-            raise _ApiError(
-                404,
-                "this server has no work coordinator "
-                "(start it with --workers-remote)",
-                "no_coordinator",
-            )
-        return coordinator
-
-    def _workers_route(self, method: str, tail: list[str], url) -> tuple[dict, int]:
-        coordinator = self._coordinator()
-        if not tail:
-            if method == "POST":
-                self._route_template = "/api/workers"
-                payload = self._read_json()
-                return coordinator.register_worker(
-                    worker_id=payload.get("worker_id"),
-                    meta=payload.get("meta"),
-                ), 200
-            self._route_template = "/api/workers"
-            return {"workers": coordinator.workers_info()}, 200
-        if len(tail) == 2 and tail[1] == "heartbeat" and method == "POST":
-            self._route_template = "/api/workers/<id>/heartbeat"
-            payload = self._read_json()
-            return coordinator.heartbeat(
-                tail[0], list(payload.get("units") or ())
-            ), 200
-        raise _ApiError(404, f"unknown workers path {url.path!r}")
-
-    def _units_route(self, method: str, tail: list[str], url) -> tuple[dict, int]:
-        coordinator = self._coordinator()
-        if tail == ["lease"] and method == "POST":
-            self._route_template = "/api/units/lease"
-            payload = self._read_json()
-            worker_id = payload.get("worker_id")
-            if not worker_id:
-                raise _ApiError(400, "lease needs a worker_id")
-            unit = coordinator.lease(worker_id)
-            return {"unit": unit, "retry_after_s": None if unit else 0.5}, 200
-        if len(tail) == 2 and tail[1] == "result" and method == "POST":
-            self._route_template = "/api/units/<id>/result"
-            payload = self._read_json()
-            worker_id = payload.get("worker_id")
-            if not worker_id:
-                raise _ApiError(400, "result submission needs a worker_id")
-            return coordinator.submit_result(worker_id, tail[0], payload), 200
-        raise _ApiError(404, f"unknown units path {url.path!r}")
-
-    def _cache_route(self, method: str, tail: list[str], url) -> tuple[dict, int]:
-        cache = self.server.cache
-        if cache is None:
-            raise _ApiError(
-                404, "this server has no shared cache", "no_cache"
-            )
-        if not tail and method == "GET":
-            self._route_template = "/api/cache"
-            return cache.info(), 200
-        if tail == ["get_many"] and method == "POST":
-            self._route_template = "/api/cache/get_many"
-            keys = self._read_json().get("keys")
-            if not isinstance(keys, list):
-                raise _ApiError(400, "get_many needs a JSON list of keys")
-            hits = cache.get_many([str(key) for key in keys])
-            found = {
-                key: list(value)
-                for key, value in zip(keys, hits)
-                if value is not None
-            }
-            return {"found": found, "entries": len(cache)}, 200
-        if tail == ["put_many"] and method == "POST":
-            self._route_template = "/api/cache/put_many"
-            entries = self._read_json().get("entries")
-            if not isinstance(entries, dict):
-                raise _ApiError(
-                    400, "put_many needs a JSON object of key -> objectives"
-                )
-            try:
-                cache.put_many(
-                    {
-                        str(key): tuple(float(v) for v in values)
-                        for key, values in entries.items()
-                    }
-                )
-            except (TypeError, ValueError) as exc:
-                raise _ApiError(
-                    400, f"bad objectives payload: {exc}"
-                ) from None
-            return {"stored": len(entries), "entries": len(cache)}, 200
-        raise _ApiError(404, f"unknown cache path {url.path!r}")
 
 
 class CampaignHTTPServer(ThreadingHTTPServer):
@@ -847,13 +707,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
             ``repro.http`` JSON-lines logger).
         tracer: span tracer for request tracing and the ``/api/traces``
             endpoints (defaults to the process-global tracer).
-        coordinator: optional
-            :class:`~repro.service.distributed.WorkCoordinator`; mounts
-            the ``/api/workers`` + ``/api/units`` protocol so external
-            ``repro worker`` processes can lease and evaluate units.
-        cache: optional :class:`~repro.service.cache.EvaluationCache`
-            served over ``/api/cache`` as the workers' shared dedup
-            layer (the ``remote`` cache backend's other half).
     """
 
     daemon_threads = True
@@ -868,8 +721,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         admission: AdmissionController | None = None,
         logger: JsonLogger | None = None,
         tracer: Tracer | None = None,
-        coordinator=None,
-        cache=None,
     ) -> None:
         super().__init__(address, _CampaignHandler)
         self.queue = queue
@@ -879,8 +730,6 @@ class CampaignHTTPServer(ThreadingHTTPServer):
         self.admission = admission
         self.logger = logger if logger is not None else get_logger("repro.http")
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.coordinator = coordinator
-        self.cache = cache
         self.started_at = time.monotonic()
         self._m_requests = self.registry.counter(
             "repro_http_requests_total",
@@ -945,7 +794,6 @@ def serve(
     admission: AdmissionController | None = None,
     logger: JsonLogger | None = None,
     tracer: Tracer | None = None,
-    coordinator=None,
 ) -> CampaignHTTPServer:
     """Build a ready-to-run HTTP server (queue included unless given).
 
@@ -956,33 +804,9 @@ def serve(
     drives ``server.serve_forever()`` (or ``serve_in_background()``)
     and is responsible for closing the queue on shutdown —
     :func:`repro.cli.main`'s ``repro serve`` shows the full lifecycle.
-
-    With a ``coordinator``
-    (:class:`~repro.service.distributed.WorkCoordinator`), an owned
-    queue runs campaigns through
-    :class:`~repro.service.distributed.DistributedRunner` — external
-    ``repro worker`` processes lease the units over ``/api/workers`` /
-    ``/api/units`` — and, with a store attached, per-unit worker rows
-    are flushed into ``RunStore.record_work_units`` once each run is
-    recorded.  The ``cache`` (when given) is additionally served over
-    ``/api/cache`` so workers can share it as their dedup layer.
     """
     if queue is None:
-        runner = None
-        on_recorded = None
-        if coordinator is not None:
-            from repro.service.distributed import DistributedRunner
-
-            runner = DistributedRunner(coordinator)
-            if store is not None and hasattr(store, "record_work_units"):
-                def on_recorded(job, _store=store, _coord=coordinator):
-                    if job.run_id is None:
-                        return
-                    rows = _coord.take_unit_rows(job.request.fingerprint())
-                    if rows:
-                        _store.record_work_units(job.run_id, rows)
         queue = JobQueue(
-            runner=runner,
             library=library,
             cache=cache,
             executor=executor,
@@ -992,7 +816,6 @@ def serve(
             store=store,
             registry=registry,
             logger=logger,
-            on_recorded=on_recorded,
         )
     return CampaignHTTPServer(
         (host, port),
@@ -1003,8 +826,6 @@ def serve(
         admission=admission,
         logger=logger,
         tracer=tracer,
-        coordinator=coordinator,
-        cache=cache,
     )
 
 
@@ -1031,7 +852,7 @@ class CampaignClient:
         retries: additional attempts after the first failure.
         backoff_s: initial sleep before the first retry; doubles per
             attempt up to ``backoff_cap_s``, with up to 25% random
-            jitter so a fleet of workers does not retry in lockstep.
+            jitter so concurrent clients do not retry in lockstep.
     """
 
     def __init__(
@@ -1212,57 +1033,3 @@ class CampaignClient:
     def health(self) -> dict:
         """The full ``/api/healthz`` readiness payload."""
         return self._call("GET", "/api/healthz")
-
-    # Distributed execution -------------------------------------------------
-    def register_worker(
-        self, worker_id: str | None = None, meta: dict | None = None
-    ) -> dict:
-        """Worker handshake; returns id + lease terms."""
-        payload: dict = {}
-        if worker_id:
-            payload["worker_id"] = worker_id
-        if meta:
-            payload["meta"] = meta
-        return self._call("POST", "/api/workers", payload)
-
-    def workers(self) -> list[dict]:
-        """The coordinator's workers table."""
-        return self._call("GET", "/api/workers")["workers"]
-
-    def worker_heartbeat(self, worker_id: str, unit_ids: list[str]) -> dict:
-        """Renew leases; the answer lists ``renewed`` and ``lost`` units."""
-        return self._call(
-            "POST",
-            f"/api/workers/{_quote(worker_id)}/heartbeat",
-            {"units": list(unit_ids)},
-        )
-
-    def lease_unit(self, worker_id: str) -> dict | None:
-        """Lease the next work unit (``None`` when the queue is empty)."""
-        answer = self._call(
-            "POST", "/api/units/lease", {"worker_id": worker_id}
-        )
-        return answer.get("unit")
-
-    def submit_unit_result(
-        self, worker_id: str, unit_id: str, payload: dict
-    ) -> dict:
-        """Report a unit outcome (idempotent on the unit id)."""
-        body = dict(payload)
-        body["worker_id"] = worker_id
-        return self._call(
-            "POST", f"/api/units/{_quote(unit_id)}/result", body
-        )
-
-    # Remote cache ----------------------------------------------------------
-    def cache_info(self) -> dict:
-        """The server-side shared cache's info payload."""
-        return self._call("GET", "/api/cache")
-
-    def cache_get_many(self, keys: list[str]) -> dict:
-        """Batched lookup against the server's shared cache."""
-        return self._call("POST", "/api/cache/get_many", {"keys": keys})
-
-    def cache_put_many(self, entries: dict) -> dict:
-        """Batched store into the server's shared cache."""
-        return self._call("POST", "/api/cache/put_many", {"entries": entries})

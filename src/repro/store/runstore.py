@@ -45,7 +45,9 @@ RUN_STATUSES = ("done", "failed", "cancelled")
 #: ``runs.engine_backend`` and ``runs.ga_backend`` are legacy columns:
 #: they recorded evaluation knobs that no longer exist.  They stay so
 #: existing database files need no destructive migration, and new rows
-#: leave them NULL.
+#: leave them NULL.  For the same reason a file created by an earlier
+#: release keeps its ``work_units`` table (per-unit rows of the retired
+#: distributed runner); new files no longer create it.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
     run_id TEXT PRIMARY KEY,
@@ -112,20 +114,6 @@ CREATE TABLE IF NOT EXISTS trace_spans (
 );
 CREATE INDEX IF NOT EXISTS trace_spans_by_time ON trace_spans(start_time);
 CREATE INDEX IF NOT EXISTS trace_spans_by_run ON trace_spans(run_id);
-CREATE TABLE IF NOT EXISTS work_units (
-    run_id TEXT NOT NULL REFERENCES runs(run_id) ON DELETE CASCADE,
-    unit_id TEXT NOT NULL,
-    spec_index INTEGER NOT NULL,
-    spec TEXT NOT NULL DEFAULT '',
-    worker_id TEXT,
-    attempts INTEGER NOT NULL DEFAULT 0,
-    status TEXT NOT NULL DEFAULT '',
-    wall_time_s REAL NOT NULL DEFAULT 0.0,
-    evaluations INTEGER NOT NULL DEFAULT 0,
-    error TEXT,
-    PRIMARY KEY (run_id, unit_id)
-);
-CREATE INDEX IF NOT EXISTS work_units_by_worker ON work_units(worker_id);
 """
 
 
@@ -881,89 +869,6 @@ class RunStore:
             )
             self._conn.commit()
         return cursor.rowcount
-
-    # Distributed work units -------------------------------------------------
-    def record_work_units(self, run_id: str, rows: list[dict]) -> int:
-        """Persist the per-unit outcomes of one distributed run.
-
-        ``rows`` is the :meth:`repro.service.distributed.WorkUnit.row`
-        shape — which worker evaluated each unit, how many lease
-        attempts it took, and the per-unit wall time.  Re-recording a
-        unit upserts on ``(run_id, unit_id)``.
-        """
-        self.get_run(run_id)
-        if not rows:
-            return 0
-        with self._lock:
-            self._conn.executemany(
-                "INSERT OR REPLACE INTO work_units (run_id, unit_id, "
-                "spec_index, spec, worker_id, attempts, status, "
-                "wall_time_s, evaluations, error) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        run_id,
-                        row["unit_id"],
-                        int(row.get("spec_index") or 0),
-                        row.get("spec") or "",
-                        row.get("worker_id"),
-                        int(row.get("attempts") or 0),
-                        row.get("status") or "",
-                        float(row.get("wall_time_s") or 0.0),
-                        int(row.get("evaluations") or 0),
-                        row.get("error"),
-                    )
-                    for row in rows
-                ],
-            )
-            self._conn.commit()
-        return len(rows)
-
-    def work_units(self, run_id: str) -> list[dict]:
-        """One run's recorded work units, in spec order."""
-        self.get_run(run_id)
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT unit_id, spec_index, spec, worker_id, attempts, "
-                "status, wall_time_s, evaluations, error FROM work_units "
-                "WHERE run_id = ? ORDER BY spec_index, unit_id",
-                (run_id,),
-            ).fetchall()
-        return [
-            {
-                "unit_id": row[0],
-                "spec_index": row[1],
-                "spec": row[2],
-                "worker_id": row[3],
-                "attempts": row[4],
-                "status": row[5],
-                "wall_time_s": row[6],
-                "evaluations": row[7],
-                "error": row[8],
-            }
-            for row in rows
-        ]
-
-    def worker_summary(self) -> list[dict]:
-        """Aggregate per-worker totals across every recorded run."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT worker_id, COUNT(*), "
-                "SUM(CASE WHEN status = 'done' THEN 1 ELSE 0 END), "
-                "SUM(evaluations), SUM(wall_time_s) FROM work_units "
-                "WHERE worker_id IS NOT NULL GROUP BY worker_id "
-                "ORDER BY worker_id",
-            ).fetchall()
-        return [
-            {
-                "worker_id": row[0],
-                "units": row[1],
-                "units_done": row[2],
-                "evaluations": row[3] or 0,
-                "wall_time_s": row[4] or 0.0,
-            }
-            for row in rows
-        ]
 
     # Maintenance ----------------------------------------------------------
     def delete_run(self, run_id: str) -> None:

@@ -184,7 +184,7 @@ class TestForwardCompatibility:
         payload = json.loads(GOLDEN_V1_JSON)
         payload.update(
             engine="python", backend="process", chunk_size=7,
-            ga_backend="python",
+            ga_backend="python", workers=2,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -135,6 +135,20 @@ class TestCli:
             "--n", "64", "--h", "128", "--l", "16", "--k", "8",
         ]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker"],
+            ["serve", "--workers-remote"],
+            ["campaign", "--spec", "4096:INT8", "--workers", "2"],
+        ],
+    )
+    def test_retired_execution_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestTestbench:
     def test_testbench_structure(self, result, tmp_path):

@@ -212,9 +212,18 @@ class TestHTTPServer:
         [
             {"population_size": 3},
             {"generations": 0},
-            {"workers": 0},
             {"seed": "x"},
             {"seed": 1.5},
+            # DCIM specs whose design space is empty or ill-typed: the
+            # DcimSpec and genome-codec rules reject them at submit time.
+            {"specs": [{"wstore": 3000, "precision": "INT4"}]},
+            {"specs": [{"wstore": 2, "precision": "INT4"}]},
+            {"specs": [{"wstore": True, "precision": "INT4"}]},
+            # 2**40 weights in at most 4096 columns: cannot fit the bounds.
+            {"specs": [{"wstore": 1 << 40, "precision": "INT4", "max_n": 4096}]},
+            {"specs": [{"wstore": 4096.5, "precision": "INT4"}]},
+            # Would run, but under a different fingerprint than 4096.
+            {"specs": [{"wstore": 4096.0, "precision": "INT4"}]},
         ],
     )
     def test_unrunnable_request_is_400_and_creates_no_job(
@@ -237,7 +246,8 @@ class TestHTTPServer:
             urlopen(request, timeout=10)
         assert excinfo.value.code == 400
         envelope = _json.loads(excinfo.value.read().decode("utf-8"))
-        assert envelope["error"]["code"] == "invalid_request"
+        code = "invalid_spec" if "specs" in bad else "invalid_request"
+        assert envelope["error"]["code"] == code
         assert len(queue.jobs()) == jobs_before
 
     def test_mapping_campaign_over_http(self, http_setup):
@@ -256,3 +266,84 @@ class TestHTTPServer:
         response = client.result(job_id)
         assert response.problem == "mapping"
         assert response.frontier[0].extras["n_macros"] >= 1
+
+
+class TestRetiredEndpoints:
+    """The cache and worker-protocol routes are gone, writes included."""
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("POST", "/api/cache/put_many",
+             {"entries": {"k1": [0, 0, 0], "k2": [0, 0, 0]}}),
+            ("POST", "/api/cache/get_many", {"keys": ["k1", "k2"]}),
+            ("GET", "/api/cache", None),
+            ("POST", "/api/workers", {}),
+            ("POST", "/api/units/lease", {"worker_id": "w-1"}),
+        ],
+    )
+    def test_answers_404_and_leaves_cache_alone(self, method, path, body):
+        import json as _json
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
+
+        cache = EvaluationCache()
+        cache.put_many({"k1": (1.0, 2.0, 3.0), "k2": (4.0, 5.0, 6.0)})
+        server = serve(port=0, workers=1, cache=cache)
+        server.serve_in_background()
+        try:
+            request = Request(
+                f"{server.url}{path}",
+                data=None if body is None else _json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"},
+                method=method,
+            )
+            with pytest.raises(HTTPError) as excinfo:
+                urlopen(request, timeout=10)
+            assert excinfo.value.code == 404
+            envelope = _json.loads(excinfo.value.read().decode("utf-8"))
+            assert envelope["error"]["code"] == "not_found"
+        finally:
+            server.shutdown()
+            server.queue.close(wait=False)
+        assert len(cache) == 2
+        assert cache.get_many(["k1", "k2"]) == [
+            (1.0, 2.0, 3.0),
+            (4.0, 5.0, 6.0),
+        ]
+
+
+class TestClientRetry:
+    def test_retries_connection_errors_with_backoff(self):
+        sleeps = []
+        # Nothing listens on this port: every attempt fails fast.
+        client = CampaignClient(
+            "http://127.0.0.1:9",
+            timeout=0.2,
+            retries=3,
+            backoff_s=0.1,
+            backoff_cap_s=0.25,
+            _sleep=sleeps.append,
+        )
+        with pytest.raises(RuntimeError) as excinfo:
+            client.health()
+        assert "failed after 4 attempts" in str(excinfo.value)
+        assert len(sleeps) == 3
+        # Exponential with a cap, plus up to 25% jitter.
+        assert 0.1 <= sleeps[0] <= 0.125
+        assert 0.2 <= sleeps[1] <= 0.25
+        assert 0.25 <= sleeps[2] <= 0.3125
+
+    def test_http_errors_are_never_retried(self, http_setup):
+        client, _ = http_setup
+        sleeps = []
+        retrying = CampaignClient(
+            client.base_url, retries=5, _sleep=sleeps.append
+        )
+        with pytest.raises(RuntimeError):
+            retrying.status("job-does-not-exist")
+        assert sleeps == []  # the server answered; retrying can't help
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError):
+            CampaignClient("http://127.0.0.1:9", retries=-1)

@@ -30,6 +30,23 @@ class TestDcimSpec:
         with pytest.raises(ValueError):
             DcimSpec(wstore=0, precision="INT8")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("wstore", True), ("wstore", 4096.0), ("wstore", "4096"),
+         ("max_l", 64.0), ("max_h", False), ("min_n_factor", 4.5),
+         ("max_n", 1024.0)],
+    )
+    def test_rejects_non_integral_sizes(self, field, value):
+        kwargs = {"wstore": 4096, "precision": "INT8", field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DcimSpec(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        import numpy as np
+
+        spec = DcimSpec(wstore=np.int64(4096), precision="INT8", max_l=np.int32(16))
+        assert spec.wstore == 4096 and spec.max_l == 16
+
 
 class TestDesignPoint:
     def test_fig6a_wstore(self):

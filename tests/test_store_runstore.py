@@ -244,6 +244,39 @@ class TestPersistence:
             assert store.get_run(record.run_id).problem == "mapping"
             assert store.front(record.run_id)[0].extras == {"n_macros": 2}
 
+    def test_keeps_an_existing_work_units_table(self, tmp_path):
+        """New files no longer create ``work_units``; a file that has
+        one keeps it, rows included, and run deletion still cascades."""
+        import sqlite3
+
+        path = tmp_path / "runs.sqlite"
+        with RunStore(path) as store:
+            run_id = store.record_response(response()).run_id
+        conn = sqlite3.connect(path)
+        assert not conn.execute(
+            "SELECT name FROM sqlite_master WHERE name = 'work_units'"
+        ).fetchall()
+        conn.executescript(
+            f"""
+            CREATE TABLE work_units (
+                run_id TEXT NOT NULL REFERENCES runs(run_id) ON DELETE CASCADE,
+                unit_id TEXT NOT NULL, spec_index INTEGER NOT NULL,
+                PRIMARY KEY (run_id, unit_id)
+            );
+            INSERT INTO work_units VALUES ('{run_id}', 'unit-1', 0);
+            """
+        )
+        conn.commit()
+        conn.close()
+        with RunStore(path) as store:
+            assert store.get_run(run_id).run_id == run_id
+            store.delete_run(run_id)
+        conn = sqlite3.connect(path)
+        try:
+            assert conn.execute("SELECT COUNT(*) FROM work_units").fetchone() == (0,)
+        finally:
+            conn.close()
+
 
 class TestPagination:
     def test_offset_paginates_newest_first(self, store):
