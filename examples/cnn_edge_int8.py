@@ -24,10 +24,10 @@ def main() -> None:
     budget = Requirements(max_area_mm2=0.8)
     constrained = compiler.compile(
         spec, requirements=budget, strategy="max_tops",
-        exhaustive=True, generate=False, layout=False,
+        generate=False, layout=False,
     )
     unconstrained = compiler.compile(
-        spec, strategy="knee", exhaustive=True, generate=False, layout=False,
+        spec, strategy="knee", generate=False, layout=False,
     )
 
     rows = []

@@ -58,8 +58,8 @@ def main() -> None:
         config=NSGA2Config(population_size=32, generations=20, seed=1),
     )
     spec = DcimSpec(wstore=8 * 1024, precision="INT8")
-    result = compiler.compile(spec, exhaustive=True, generate=False, layout=False)
-    stock = SegaDcim().compile(spec, exhaustive=True, generate=False, layout=False)
+    result = compiler.compile(spec, generate=False, layout=False)
+    stock = SegaDcim().compile(spec, generate=False, layout=False)
     print(f"knee with low-power lib : {result.metrics.tops_per_watt:.1f} TOPS/W")
     print(f"knee with stock Table III: {stock.metrics.tops_per_watt:.1f} TOPS/W")
 

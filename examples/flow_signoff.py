@@ -34,7 +34,7 @@ def main(out_dir: str = "build/signoff") -> None:
     compiler = SegaDcim()
     spec = DcimSpec(wstore=8 * 1024, precision="BF16")
     print(f"Compiling {spec.precision.name} Wstore={spec.wstore} ...")
-    result = compiler.compile(spec, exhaustive=True, verify=True)
+    result = compiler.compile(spec, verify=True)
     design = result.selected
     print(result.summary())
 

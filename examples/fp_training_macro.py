@@ -38,9 +38,7 @@ def main() -> None:
     rows = []
     for precision in ("FP16", "BF16", "FP32"):
         spec = DcimSpec(wstore=16 * 1024, precision=precision)
-        result = compiler.compile(
-            spec, exhaustive=True, generate=False, layout=False
-        )
+        result = compiler.compile(spec, generate=False, layout=False)
         m = result.metrics
         acc = accuracy_sweep(FloatFormat.from_precision(precision))
         rows.append(

@@ -24,7 +24,7 @@ def main() -> None:
     layers = transformer_block(d_model=256, seq_len=128)
     compiler = SegaDcim()
     spec = recommend_spec(layers, "INT8")
-    result = compiler.compile(spec, exhaustive=True, generate=False, layout=False)
+    result = compiler.compile(spec, generate=False, layout=False)
     design = result.selected
     print(f"Macro: {design.describe()}")
     print(f"Tiles for full residency: {macros_for_residency(layers, design)} macros\n")

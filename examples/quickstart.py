@@ -22,7 +22,7 @@ def main(out_dir: str = "build/quickstart") -> None:
     spec = DcimSpec(wstore=8 * 1024, precision="INT8")
 
     print(f"Compiling a {spec.precision.name} macro with Wstore={spec.wstore} ...")
-    result = compiler.compile(spec, exhaustive=True, verify=True)
+    result = compiler.compile(spec, verify=True)
 
     print()
     print(result.summary())

@@ -30,7 +30,7 @@ def main() -> None:
     for precision in ("INT8", "BF16"):
         spec = recommend_spec(layers, precision)
         print(f"\n=== {precision}: exploring Wstore={format_si(spec.wstore)} ===")
-        result = compiler.compile(spec, exhaustive=True, generate=False, layout=False)
+        result = compiler.compile(spec, generate=False, layout=False)
         design = result.selected
         mapping = map_network(layers, design, compiler.tech)
         print(f"selected: {design.describe()}")

@@ -168,6 +168,16 @@ if ! grep -q "strategy: .*=exhaustive" <<<"$warm_output"; then
     exit 1
 fi
 
+echo "== exact default: the largest built-in space enumerates =="
+# FP32 at 256K is the largest DCIM space at the paper's bounds; at the
+# default GA sizing and threshold it must still return the exact front.
+fp32_output="$(python -m repro campaign --spec 262144:FP32 --limit 3)"
+echo "$fp32_output"
+if ! grep -q "strategy: 262144:FP32=exhaustive" <<<"$fp32_output"; then
+    echo "smoke: FP32 262144 did not default to exhaustive enumeration" >&2
+    exit 1
+fi
+
 echo "== GA path: --exhaustive-threshold 0 forces the GA =="
 ga_output="$(python -m repro campaign \
     --spec 4096:INT8 --population 16 --generations 6 \

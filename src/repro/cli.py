@@ -35,6 +35,7 @@ import sys
 
 from repro.core.precision import STANDARD_PRECISIONS, parse_precision
 from repro.core.spec import DcimSpec, DesignPoint
+from repro.dse.explorer import DEFAULT_EXHAUSTIVE_THRESHOLD
 from repro.reporting.tables import ascii_table, format_si
 from repro.tech.corners import STANDARD_CORNERS, apply_corner
 from repro.tech.pdk import available_pdks, load_pdk
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="PVT corner")
         p.add_argument("--seed", type=int, default=0, help="GA seed")
         p.add_argument("--ga", action="store_true",
-                       help="use NSGA-II instead of exhaustive enumeration")
+                       help="force NSGA-II instead of exhaustive "
+                            "enumeration")
 
     explore = sub.add_parser("explore", help="print the Pareto frontier")
     add_spec_args(explore)
@@ -174,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="enumerate design spaces of up to N "
                                "genomes instead of running the GA "
-                               "(0 always runs the GA; default 512)")
+                               "(0 always runs the GA; default "
+                               f"{DEFAULT_EXHAUSTIVE_THRESHOLD})")
     campaign.add_argument("--cache", default=None, metavar="PATH",
                           help="persistent evaluation cache "
                                "(.jsonl or .sqlite; omit for in-memory)")
@@ -314,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="enumerate design spaces of up to N "
                                "genomes instead of running the GA "
-                               "(0 always runs the GA; default 512)")
+                               "(0 always runs the GA; default "
+                               f"{DEFAULT_EXHAUSTIVE_THRESHOLD})")
     submit_p.add_argument("--watch", action="store_true",
                           help="stream progress events until the "
                                "campaign finishes")
@@ -527,7 +531,9 @@ def _cmd_explore(args) -> int:
     tech = _tech(args)
     compiler = SegaDcim(tech=tech)
     spec = DcimSpec(wstore=args.wstore, precision=args.precision)
-    result = compiler.explore(spec, seed=args.seed, exhaustive=not args.ga)
+    result = compiler.explore(
+        spec, seed=args.seed, exhaustive=False if args.ga else None
+    )
     pairs = distill(result.points, tech)
     rows = [
         (
@@ -568,7 +574,7 @@ def _cmd_compile(args) -> int:
             requirements=requirements,
             strategy=args.strategy,
             seed=args.seed,
-            exhaustive=not args.ga,
+            exhaustive=False if args.ga else None,
             verify=args.verify,
         )
     except ValueError as exc:
@@ -806,11 +812,6 @@ def _cmd_campaign(args) -> int:
         ]
         specs = [definition.to_spec(request) for request in spec_requests]
         population, generations = _resolve_ga_sizing(args, definition)
-        # None keeps CampaignConfig's default threshold; an explicit
-        # value (including 0 = always GA) overrides it.
-        threshold = {}
-        if args.exhaustive_threshold is not None:
-            threshold["exhaustive_threshold"] = args.exhaustive_threshold
         config = CampaignConfig(
             nsga2=NSGA2Config(
                 population_size=population,
@@ -819,7 +820,7 @@ def _cmd_campaign(args) -> int:
             seed=args.seed,
             problem=args.problem,
             cache_flush_every=args.cache_flush_every,
-            **threshold,
+            exhaustive_threshold=args.exhaustive_threshold,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

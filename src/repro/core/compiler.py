@@ -2,8 +2,10 @@
 
 ``SegaDcim.compile`` runs the end-to-end flow:
 
-1. **Explore** — NSGA-II (or exhaustive enumeration for small spaces)
-   produces the Pareto frontier for the user spec.
+1. **Explore** — exhaustive enumeration produces the exact Pareto
+   frontier for the user spec whenever its design space enumerates
+   within the explorer's threshold (every DCIM space at the paper's
+   bounds does); larger or non-enumerable spaces run NSGA-II.
 2. **Distill** — physical requirements filter the frontier; a selection
    strategy picks one design (or the user picks from ``distilled``).
 3. **Generate** — the template-based generator emits the Verilog
@@ -90,9 +92,22 @@ class SegaDcim:
 
     # Individual stages ------------------------------------------------------
     def explore(
-        self, spec: DcimSpec, seed: int | None = None, exhaustive: bool = False
+        self,
+        spec: DcimSpec,
+        seed: int | None = None,
+        exhaustive: bool | None = None,
     ) -> ExplorationResult:
-        """Stage 1: produce the Pareto frontier for a specification."""
+        """Stage 1: produce the Pareto frontier for a specification.
+
+        Args:
+            seed: GA seed (unused when the space is enumerated).
+            exhaustive: ``None`` lets the explorer pick (exact
+                enumeration up to its threshold, see
+                :meth:`~repro.dse.explorer.DesignSpaceExplorer.explore_auto`),
+                ``True`` always enumerates, ``False`` forces NSGA-II.
+        """
+        if exhaustive is None:
+            return self.explorer.explore_auto(spec, seed)
         if exhaustive:
             return self.explorer.explore_exhaustive(spec)
         return self.explorer.explore(spec, seed)
@@ -143,7 +158,7 @@ class SegaDcim:
         requirements: Requirements | None = None,
         strategy: str = "knee",
         seed: int | None = 0,
-        exhaustive: bool = False,
+        exhaustive: bool | None = None,
         generate: bool = True,
         layout: bool = True,
         verify: bool = False,
@@ -155,8 +170,12 @@ class SegaDcim:
             requirements: physical budgets for distillation.
             strategy: selection strategy (see
                 :data:`repro.dse.distill.SELECTION_STRATEGIES`).
-            seed: GA seed for reproducibility.
-            exhaustive: enumerate instead of running the GA.
+            seed: GA seed for reproducibility (unused when the space
+                is enumerated).
+            exhaustive: ``None`` (default) enumerates whenever the
+                space is within the explorer's exhaustive threshold
+                and runs NSGA-II otherwise; ``True`` always enumerates;
+                ``False`` forces NSGA-II.
             generate: emit the RTL bundle.
             layout: run the mock P&R flow.
             verify: run scaled gate-level verification.
@@ -199,7 +218,7 @@ class SegaDcim:
         requirements: Requirements | None = None,
         strategy: str = "knee",
         seed: int | None = 0,
-        exhaustive: bool = False,
+        exhaustive: bool | None = None,
         **spec_kwargs,
     ) -> CompilationResult:
         """Explore several precisions and distill one merged frontier.

@@ -1,15 +1,18 @@
 """MOGA-based design space explorer (Fig. 4 centre block).
 
-Runs NSGA-II for a specification, decodes the resulting front into
-:class:`~repro.core.spec.DesignPoint` objects, and can merge fronts from
-several specifications (e.g. an INT and an FP candidate precision for
-the same application) into one cross-architecture frontier.
+Explores a specification — by exact enumeration when its design space
+is enumerable and within :data:`DEFAULT_EXHAUSTIVE_THRESHOLD` (every
+DCIM space at the paper's bounds), by NSGA-II otherwise — decodes the
+resulting front into :class:`~repro.core.spec.DesignPoint` objects,
+and can merge fronts from several specifications (e.g. an INT and an
+FP candidate precision for the same application) into one
+cross-architecture frontier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,30 +29,41 @@ from repro.tech.cells import CellLibrary
 
 __all__ = [
     "DEFAULT_EXHAUSTIVE_THRESHOLD",
+    "ExplorationPlan",
     "ExplorationResult",
     "DesignSpaceExplorer",
-    "design_space_size",
     "merge_exploration_results",
 ]
 
 #: Largest enumerable design space (decoded genome count) that defaults
-#: to exhaustive enumeration instead of the GA.  With batch evaluation a
-#: few hundred genomes cost one engine call, which is cheaper than any
-#: GA run *and* exact; every stock DCIM spec enumerates well under this.
-DEFAULT_EXHAUSTIVE_THRESHOLD = 512
+#: to exhaustive enumeration instead of the GA.  Every DCIM space at the
+#: paper's default bounds enumerates well under it (12 H x 7 L values
+#: times the k choices: at most 672 genomes, for FP32), and 4096 is at
+#: least the 64 x 60 = 3840 breeding steps of a default NSGA-II run.
+#: Measured on a 2-vCPU Xeon VM (median of 5): FP32 256K enumerates
+#: 648 genomes in 15 ms against 156 ms for the default GA; custom bounds
+#: reach parity near 3k genomes (3088: 184 vs 179 ms), and at 4224
+#: genomes enumeration takes 266 ms against the GA's 166 ms, still exact
+#: (594 front points against the GA's 278).  Above that the quadratic
+#: Pareto filter dominates (6888 genomes: 728 vs 201 ms), so larger
+#: spaces run the GA.
+DEFAULT_EXHAUSTIVE_THRESHOLD = 4096
 
 
-def design_space_size(problem) -> int | None:
-    """Decoded design-space size, or None when not enumerable.
+class ExplorationPlan(NamedTuple):
+    """How one spec will be explored (:meth:`DesignSpaceExplorer.plan`).
 
-    Only problems exposing the optional ``enumerate_genomes`` hook (see
-    :meth:`repro.dse.problem.DcimProblem.enumerate_genomes`) report a
-    size; anything else — e.g. the mapping problem, whose codec covers
-    only part of its genome — returns None and always runs the GA.
+    Attributes:
+        strategy: ``"exhaustive"`` or ``"ga"``.
+        problem: the spec's problem object, built once for both the
+            choice and the exploration.
+        genomes: the enumerated design space on the exhaustive path
+            (``None`` on the GA path).
     """
-    if not hasattr(problem, "enumerate_genomes"):
-        return None
-    return len(problem.enumerate_genomes())
+
+    strategy: str
+    problem: object
+    genomes: list | None
 
 
 @dataclass
@@ -114,8 +128,9 @@ class DesignSpaceExplorer:
             plus ``decode``.
         exhaustive_threshold: largest enumerable design space
             :meth:`explore_auto` resolves to exhaustive enumeration;
-            ``0`` or ``None`` disables the exhaustive default and always
-            runs the GA.
+            ``None`` means :data:`DEFAULT_EXHAUSTIVE_THRESHOLD`, and
+            ``0`` disables the exhaustive default and always runs the
+            GA.
     """
 
     def __init__(
@@ -132,7 +147,11 @@ class DesignSpaceExplorer:
         self.cache = cache
         self.executor = executor
         self.problem_factory = problem_factory
-        self.exhaustive_threshold = exhaustive_threshold
+        self.exhaustive_threshold = (
+            DEFAULT_EXHAUSTIVE_THRESHOLD
+            if exhaustive_threshold is None
+            else exhaustive_threshold
+        )
 
     def _problem(self, spec: DcimSpec) -> DcimProblem:
         if self.problem_factory is not None:
@@ -189,20 +208,22 @@ class DesignSpaceExplorer:
             stopped_early=result.stopped_early,
         )
 
-    def select_strategy(self, spec: DcimSpec) -> str:
-        """``"exhaustive"`` or ``"ga"`` for a spec, per the threshold.
+    def plan(self, spec: DcimSpec) -> ExplorationPlan:
+        """Build the spec's problem and pick its exploration strategy.
 
-        Exhaustive wins when the problem can enumerate its genomes
-        (:func:`design_space_size` is not None) and the space is no
-        larger than ``exhaustive_threshold``; everything else runs the
-        GA.
+        Exhaustive wins when the problem can enumerate its genomes (the
+        optional ``enumerate_genomes`` hook) and the space is no larger
+        than ``exhaustive_threshold``; everything else runs the GA.  The
+        space is enumerated once: hand the plan to
+        :meth:`explore_exhaustive` to evaluate the very genomes that
+        sized it.
         """
-        if not self.exhaustive_threshold:
-            return "ga"
-        size = design_space_size(self._problem(spec))
-        if size is not None and size <= self.exhaustive_threshold:
-            return "exhaustive"
-        return "ga"
+        problem = self._problem(spec)
+        if self.exhaustive_threshold and hasattr(problem, "enumerate_genomes"):
+            genomes = problem.enumerate_genomes()
+            if len(genomes) <= self.exhaustive_threshold:
+                return ExplorationPlan("exhaustive", problem, genomes)
+        return ExplorationPlan("ga", problem, None)
 
     def explore_auto(
         self,
@@ -211,15 +232,16 @@ class DesignSpaceExplorer:
         observer: ProgressObserver | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> ExplorationResult:
-        """Explore one spec with the strategy :meth:`select_strategy` picks.
+        """Explore one spec with the strategy :meth:`plan` picks.
 
-        Small enumerable spaces get the exact exhaustive frontier (the
-        GA could only ever approximate it, at higher cost); larger or
+        Enumerable spaces up to the threshold get the exact exhaustive
+        frontier (the GA could only ever approximate it); larger or
         non-enumerable spaces run NSGA-II.  The chosen strategy is
         recorded on the result.
         """
-        if self.select_strategy(spec) == "exhaustive":
-            return self.explore_exhaustive(spec, should_stop=should_stop)
+        plan = self.plan(spec)
+        if plan.strategy == "exhaustive":
+            return self.explore_exhaustive(spec, should_stop=should_stop, plan=plan)
         return self.explore(
             spec, seed=seed, observer=observer, should_stop=should_stop
         )
@@ -228,6 +250,8 @@ class DesignSpaceExplorer:
         self,
         spec: DcimSpec,
         should_stop: Callable[[], bool] | None = None,
+        *,
+        plan: ExplorationPlan | None = None,
     ) -> ExplorationResult:
         """Exact frontier by enumeration (baseline / small spaces).
 
@@ -235,14 +259,19 @@ class DesignSpaceExplorer:
         uses, so an exhaustive run both warms and is served by the
         shared evaluation cache.  ``evaluations`` counts the full
         enumeration (every genome is requested, wherever it is served
-        from).
+        from).  An exhaustive ``plan`` from :meth:`plan` supplies the
+        problem and genomes, so the spec is not built or enumerated
+        again.
         """
-        problem = self._problem(spec)
-        if not hasattr(problem, "enumerate_genomes"):
-            raise ValueError(
-                f"problem {type(problem).__name__} cannot enumerate its "
-                "design space; run the GA instead"
-            )
+        if plan is not None and plan.genomes is not None:
+            problem, genomes = plan.problem, plan.genomes
+        else:
+            problem, genomes = self._problem(spec), None
+            if not hasattr(problem, "enumerate_genomes"):
+                raise ValueError(
+                    f"problem {type(problem).__name__} cannot enumerate its "
+                    "design space; run the GA instead"
+                )
         if should_stop is not None and should_stop():
             return ExplorationResult(
                 spec=spec,
@@ -251,7 +280,8 @@ class DesignSpaceExplorer:
                 stopped_early=True,
                 strategy="exhaustive",
             )
-        genomes = problem.enumerate_genomes()
+        if genomes is None:
+            genomes = problem.enumerate_genomes()
         evaluator = self._evaluator(problem)
         if evaluator is not None:
             objectives = list(evaluator.evaluate_batch(genomes))

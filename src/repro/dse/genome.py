@@ -258,14 +258,16 @@ class GenomeCodec:
     def enumerate(self) -> list[Genome]:
         """All feasible genomes (the space is small enough to exhaust).
 
-        Used by the brute-force baseline that validates NSGA-II and by
-        the design-space ablation benches.
+        Ordered by ``a``, then ``b``, then ``k_idx``; ``c`` follows from
+        the sum constraint.  Used by exhaustive exploration, the
+        brute-force baseline that validates NSGA-II and the design-space
+        ablation benches.
         """
-        out = []
-        for a in range(self.min_a, self.max_a + 1):
-            for b in range(0, self.max_b + 1):
-                c = self.total_exponent - a - b
-                if 0 <= c <= self.max_c:
-                    for k_idx in range(len(self.k_choices)):
-                        out.append((a, b, c, k_idx))
-        return out
+        min_a, max_a, max_b, max_c, total, k_choices = self._bounds
+        k_indices = range(len(k_choices))
+        return [
+            (a, b, total - a - b, k_idx)
+            for a in range(min_a, max_a + 1)
+            for b in range(max(0, total - a - max_c), min(max_b, total - a) + 1)
+            for k_idx in k_indices
+        ]

@@ -208,7 +208,9 @@ class CampaignRequest:
         # Retired knobs hash at their old defaults, and the exhaustive
         # threshold only hashes when it differs from the library
         # default: fingerprints from before and after either change
-        # keep matching.
+        # keep matching.  The default rose from 512 to 4096, so a
+        # request naming 512 (which now runs the GA where the default
+        # enumerates) hashes its threshold.
         payload.update(RETIRED_DEFAULTS)
         from repro.dse.explorer import DEFAULT_EXHAUSTIVE_THRESHOLD
 

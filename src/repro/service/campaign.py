@@ -26,6 +26,7 @@ from repro.core.spec import DcimSpec, DesignPoint
 from repro.dse.explorer import (
     DEFAULT_EXHAUSTIVE_THRESHOLD,
     DesignSpaceExplorer,
+    ExplorationPlan,
     ExplorationResult,
     merge_exploration_results,
 )
@@ -71,7 +72,9 @@ class CampaignConfig:
         exhaustive_threshold: largest enumerable design space that is
             explored exhaustively instead of via the GA (see
             :meth:`~repro.dse.explorer.DesignSpaceExplorer.explore_auto`);
-            ``0`` or ``None`` forces the GA for every spec.
+            ``None`` resolves to
+            :data:`~repro.dse.explorer.DEFAULT_EXHAUSTIVE_THRESHOLD` at
+            construction, and ``0`` forces the GA for every spec.
         cache_flush_every: write-behind cadence for the campaign's
             shared cache — misses coalesce into one disk transaction
             per N entries for the campaign's duration, with a
@@ -90,8 +93,14 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.cache_flush_every is not None and self.cache_flush_every < 0:
             raise ValueError("cache_flush_every must be >= 0 when given")
-        if self.exhaustive_threshold is not None and self.exhaustive_threshold < 0:
-            raise ValueError("exhaustive_threshold must be >= 0 when given")
+        # None means the library default, as on the wire
+        # (CampaignRequest); only 0 forces the GA.
+        if self.exhaustive_threshold is None:
+            object.__setattr__(
+                self, "exhaustive_threshold", DEFAULT_EXHAUSTIVE_THRESHOLD
+            )
+        if self.exhaustive_threshold < 0:
+            raise ValueError("exhaustive_threshold must be >= 0")
         try:
             get_problem(self.problem)
         except KeyError as exc:
@@ -335,39 +344,35 @@ def run_campaign(
         if should_stop is not None and should_stop():
             return None
         label = definition.spec_label(spec)
-        # Small enumerable spaces skip the GA entirely: exhaustive
-        # enumeration is exact and (batched) cheaper.  An exhaustive
-        # spec emits no GENERATION_DONE events and reports 0
+        # Enumerable spaces up to the threshold skip the GA entirely:
+        # exhaustive enumeration is exact and (batched) cheaper.  An
+        # exhaustive spec emits no GENERATION_DONE events and reports 0
         # generations in its SPEC_* events.
-        strategy = explorer.select_strategy(spec)
-        spec_generations = (
-            0 if strategy == "exhaustive" else config.nsga2.generations
-        )
+        plan = explorer.plan(spec)
         with tracer.span(
             "spec",
-            attributes={"index": i, "spec": label, "strategy": strategy},
+            attributes={"index": i, "spec": label, "strategy": plan.strategy},
             parent=campaign_span,
             category="campaign",
         ) as spec_span:
-            return _explore_spec(i, spec, label, strategy, spec_span)
+            return _explore_spec(i, spec, label, plan, spec_span)
 
     def _explore_spec(
-        i: int, spec: DcimSpec, label: str, strategy: str, spec_span
+        i: int, spec: DcimSpec, label: str, plan: ExplorationPlan, spec_span
     ) -> ExplorationResult | None:
+        exhaustive = plan.strategy == "exhaustive"
         emit(
             CampaignEvent(
                 kind=EventKind.SPEC_STARTED,
                 spec_index=i,
                 spec=label,
-                generations=(
-                    0 if strategy == "exhaustive" else config.nsga2.generations
-                ),
+                generations=0 if exhaustive else config.nsga2.generations,
             )
         )
-        if strategy == "exhaustive":
+        if exhaustive:
             with tracer.span("spec.exhaustive", category="campaign"):
                 result = explorer.explore_exhaustive(
-                    spec, should_stop=should_stop
+                    spec, should_stop=should_stop, plan=plan
                 )
             if result.stopped_early:
                 spec_span.set_attribute("stopped", True)

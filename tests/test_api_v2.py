@@ -299,3 +299,27 @@ class TestProgrammaticFingerprint:
             _campaign_fingerprint([spec], CampaignConfig(problem="mapping"))
             == MAPPING_CAMPAIGN_FINGERPRINT
         )
+
+    def test_explicit_threshold_512_hashes_while_the_default_does_not(self):
+        """Before the default became 4096, a request naming 512 ran the
+        default and hashed like one; it now runs a different strategy
+        for FP32 32K-256K, so its threshold enters the hash."""
+        from repro.core.spec import DcimSpec
+        from repro.service.campaign import _campaign_fingerprint
+
+        payload = json.loads(GOLDEN_V1_JSON)
+        default = CampaignRequest.from_dict(payload)
+        explicit = CampaignRequest.from_dict({**payload, "exhaustive_threshold": 512})
+        unset = CampaignRequest.from_dict({**payload, "exhaustive_threshold": None})
+        assert default.fingerprint() == unset.fingerprint() == GOLDEN_V1_FINGERPRINT
+        assert explicit.fingerprint() != GOLDEN_V1_FINGERPRINT
+
+        specs = [DcimSpec(wstore=4096, precision="INT8")]
+        assert (
+            _campaign_fingerprint(specs, CampaignConfig(exhaustive_threshold=None))
+            == DCIM_CAMPAIGN_FINGERPRINT
+        )
+        assert (
+            _campaign_fingerprint(specs, CampaignConfig(exhaustive_threshold=512))
+            != DCIM_CAMPAIGN_FINGERPRINT
+        )

@@ -107,6 +107,7 @@ class TestRequirementsAndStrategies:
         result = compiler.compile(
             DcimSpec(wstore=4 * 1024, precision="INT4"),
             seed=3,
+            exhaustive=False,
             generate=False,
             layout=False,
         )

@@ -55,6 +55,7 @@ class TestGaMode:
         result = compiler.compile(
             DcimSpec(wstore=4 * 1024, precision="FP16"),
             seed=2,
+            exhaustive=False,
             generate=False,
             layout=False,
         )
@@ -64,6 +65,7 @@ class TestGaMode:
         result = compiler.compile(
             DcimSpec(wstore=8 * 1024, precision="INT16"),
             seed=3,
+            exhaustive=False,
             generate=False,
             layout=False,
         )

@@ -291,15 +291,12 @@ class TestExhaustiveStrategy:
     SPEC = DcimSpec(wstore=4096, precision="INT8")
 
     def test_auto_picks_exhaustive_for_small_spaces(self):
-        from repro.dse.explorer import (
-            DesignSpaceExplorer,
-            design_space_size,
-        )
+        from repro.dse.explorer import DesignSpaceExplorer
 
         explorer = DesignSpaceExplorer()
-        size = design_space_size(DcimProblem(self.SPEC))
-        assert size is not None and size <= explorer.exhaustive_threshold
-        assert explorer.select_strategy(self.SPEC) == "exhaustive"
+        size = len(DcimProblem(self.SPEC).enumerate_genomes())
+        assert size <= explorer.exhaustive_threshold
+        assert explorer.plan(self.SPEC).strategy == "exhaustive"
         result = explorer.explore_auto(self.SPEC)
         assert result.strategy == "exhaustive"
         assert result.evaluations == size
@@ -311,7 +308,7 @@ class TestExhaustiveStrategy:
             config=NSGA2Config(population_size=8, generations=2),
             exhaustive_threshold=0,
         )
-        assert explorer.select_strategy(self.SPEC) == "ga"
+        assert explorer.plan(self.SPEC).strategy == "ga"
         assert explorer.explore_auto(self.SPEC, seed=1).strategy == "ga"
 
     def test_exhaustive_front_matches_problem_baseline(self):
